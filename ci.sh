@@ -327,7 +327,102 @@ grep -q '"owner":"shard-b"' target/perf-smoke/dist-manifest.json || {
     echo "manifest records no shard-b provenance" >&2
     exit 1
 }
-rm -rf "$dist_runs" "$runs_single"
+rm -rf "$dist_runs"
+
+echo "==> mixed-fleet smoke (serve + --attach sweep/worker + store-root worker, one lease protocol)"
+# The daemon takes each remote job's lease in its own store root under
+# the pulling worker's owner id, so an `--attach` worker and a `condspec
+# worker --store-root` pool on that root drain one distributed
+# submission together: neither simulates a job the other holds (the
+# HTTP worker's completions plus the pool's inserts sum to 110, with 0
+# duplicate simulations), and the daemon's merged artifacts are
+# sha256-identical to the single-process run.
+mixed_store="target/perf-smoke/mixed-store"
+mixed_runs="target/perf-smoke/mixed-runs"
+rm -rf "$mixed_store" "$mixed_runs"
+mixed_serve="target/perf-smoke/mixed-serve.log"
+mixed_submit="target/perf-smoke/mixed-sweep-attach.log"
+http_out="target/perf-smoke/mixed-worker-attach.out"
+fs_out="target/perf-smoke/mixed-worker-store.out"
+./target/release/condspec serve --addr 127.0.0.1:0 --jobs 1 \
+    --root "$mixed_runs" --store-root "$mixed_store" > "$mixed_serve" 2>&1 &
+serve_pid=$!
+mixed_pids="$serve_pid"
+mixed_fail() {
+    echo "$1" >&2
+    for log in "$mixed_serve" "$mixed_submit" "$http_out.log" "$fs_out.log"; do
+        if [ -f "$log" ]; then
+            echo "--- $log" >&2
+            tail -n 20 "$log" >&2
+        fi
+    done
+    # shellcheck disable=SC2086
+    kill $mixed_pids 2>/dev/null || true
+    exit 1
+}
+for _ in $(seq 1 100); do
+    grep -q "^condspec-serve listening on " "$mixed_serve" && break
+    sleep 0.1
+done
+mixed_addr=$(sed -n 's|^condspec-serve listening on http://||p' "$mixed_serve")
+[ -n "$mixed_addr" ] || mixed_fail "the daemon did not start"
+./target/release/condspec sweep fig5 --iters 2 --warmup 1 --attach "$mixed_addr" \
+    > target/perf-smoke/mixed-sweep-attach.out 2> "$mixed_submit" &
+submit_pid=$!
+mixed_pids="$mixed_pids $submit_pid"
+# Start the workers once the submission is registered: a draining HTTP
+# worker that finds no active run exits at once.
+for _ in $(seq 1 100); do
+    grep -q "as distributed submission" "$mixed_submit" && break
+    sleep 0.1
+done
+grep -q "as distributed submission" "$mixed_submit" || mixed_fail "sweep --attach did not submit"
+./target/release/condspec worker --attach "$mixed_addr" --drain --owner http-w \
+    > "$http_out" 2> "$http_out.log" &
+http_pid=$!
+./target/release/condspec worker fig5 --iters 2 --warmup 1 \
+    --store-root "$mixed_store" --owner store-w > "$fs_out" 2> "$fs_out.log" &
+fs_pid=$!
+mixed_pids="$mixed_pids $http_pid $fs_pid"
+wait "$http_pid" || mixed_fail "worker --attach failed"
+wait "$fs_pid" || mixed_fail "worker --store-root failed"
+wait "$submit_pid" || mixed_fail "sweep --attach failed"
+kill "$serve_pid" 2>/dev/null || true
+wait "$serve_pid" 2>/dev/null || true
+grep -q "0 duplicate simulations" "$fs_out" \
+    || mixed_fail "the store-root worker counted a duplicate simulation"
+python3 - "$http_out" "$fs_out" "$runs_single" "$mixed_runs" <<'EOF'
+import hashlib, pathlib, re, sys
+
+http_out, fs_out, single_root, mixed_root = sys.argv[1:]
+m = re.search(r"(\d+) jobs completed", open(http_out).read())
+assert m, f"{http_out} has no completion line"
+completed = int(m.group(1))
+m = re.search(r"result-store: \d+ hits, \d+ misses, (\d+) inserts", open(fs_out).read())
+assert m, f"{fs_out} has no result-store line"
+inserts = int(m.group(1))
+assert completed + inserts == 110, (
+    f"the --attach worker completed {completed} and the --store-root worker "
+    f"inserted {inserts}: expected a sum of 110"
+)
+
+def digest(root):
+    (sweep_dir,) = [d for d in pathlib.Path(root).iterdir() if d.is_dir()]
+    return sweep_dir.name, {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sweep_dir.iterdir() if f.name != "manifest.json"
+    }
+
+single_id, single_files = digest(single_root)
+mixed_id, mixed_files = digest(mixed_root)
+assert single_id == mixed_id, f"sweep ids diverged: {single_id} vs {mixed_id}"
+assert len(mixed_files) == 110, f"expected 110 artifacts, found {len(mixed_files)}"
+assert single_files == mixed_files, "mixed-fleet artifacts differ from the single-process run"
+print(f"mixed-fleet smoke ok: {completed} via --attach + {inserts} via --store-root = 110, "
+      f"artifacts byte-identical (sha256) for {mixed_id}")
+EOF
+cp "$mixed_runs"/fig5-*/manifest.json target/perf-smoke/mixed-manifest.json
+rm -rf "$runs_single" "$mixed_runs"
 
 echo "==> serve smoke (daemon round-trip: submit, stream, report, 100% warm hits)"
 python3 ci/serve_smoke.py ./target/release/condspec target/perf-smoke

@@ -1200,10 +1200,11 @@ fn run_attached_sweep(addr: &str, name: &str, iters: Option<u64>, warmup: Option
     }
 }
 
-/// `condspec worker --attach` — pull jobs from a daemon's work queue
-/// over HTTP: claim, simulate locally (panic-isolated, program-cached),
-/// report the artifact, repeat. A heartbeat thread renews the claim
-/// while a job runs so the daemon doesn't requeue it mid-simulation.
+/// `condspec worker --attach` — pull jobs from a daemon over HTTP:
+/// claim (the daemon takes the job's store lease under this worker's
+/// owner id), simulate locally (panic-isolated, program-cached), report
+/// the artifact, repeat. A heartbeat thread renews the lease while a job
+/// runs so it is not stolen mid-simulation.
 fn run_remote_worker(addr: &str, owner: &str, poll_ms: u64, drain: bool) -> ExitCode {
     use condspec_serve::http::client_post;
     use condspec_stats::Json;
@@ -1249,7 +1250,7 @@ fn run_remote_worker(addr: &str, owner: &str, poll_ms: u64, drain: bool) -> Exit
         let claim_timeout_ms = doc
             .get("claim_timeout_ms")
             .and_then(Json::as_u64)
-            .unwrap_or(60_000);
+            .unwrap_or(condspec_store::DEFAULT_STEAL_TIMEOUT.as_millis() as u64);
         let iters = doc.get("iters").and_then(Json::as_u64);
         let warmup = doc.get("warmup").and_then(Json::as_u64);
 

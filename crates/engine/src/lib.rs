@@ -48,13 +48,14 @@ pub use condspec_store::ResultStore;
 pub use job::{JobSpec, MachinePreset, Workload};
 pub use sampled::{checkpoint_store_key, run_sampled_bench, SampledBenchOutcome, SampledBenchSpec};
 pub use scheduler::{
-    default_workers, run_jobs, run_jobs_cached, run_jobs_claimed, run_jobs_stored, run_jobs_timed,
-    ClaimOptions, ClaimedJob, JobResult, JobTiming,
+    default_workers, run_jobs_claimed, run_jobs_stored, ClaimOptions, ClaimedJob, JobResult,
+    JobTiming,
 };
 pub use sweep::{Sweep, SweepResults};
 pub use telemetry::SweepTelemetry;
 
 use condspec_stats::Json;
+use scheduler::{run_pool, Claiming};
 use std::io;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -113,7 +114,7 @@ impl Default for SweepOptions {
 
 /// A live snapshot of a running sweep, handed to the
 /// [`run_sweep_observed`] observer after every job completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepProgress {
     /// Jobs accounted for so far (including `--resume` skips).
     pub done: usize,
@@ -239,109 +240,79 @@ pub fn run_sweep_observed(
     let mut progress = SweepProgress {
         done: skipped,
         total: sweep.jobs.len(),
-        simulated: 0,
-        store_hits: 0,
-        remote: 0,
-        failed: 0,
+        ..SweepProgress::default()
     };
     let mut write_error: Option<io::Error> = None;
     let mut telemetry = opts.telemetry.then(|| SweepTelemetry::new(workers));
     let programs = std::sync::Arc::new(ProgramCache::new());
-    // Shared accounting for both dispatch modes: every job — locally
-    // simulated, served from the store, or completed by a remote shard
-    // — passes through here exactly once, so the progress counters (and
-    // the NDJSON stream built on them) never over- or under-count. The
-    // closure is scoped to the dispatch block so its mutable borrows
-    // end with it.
-    let job_results: Vec<(JobResult, JobTiming, JobSource, Option<String>)> = {
-        let mut account = |slot: usize,
-                           outcome: &JobResult,
-                           timing: &JobTiming,
-                           source: JobSource,
-                           origin: Option<&str>,
-                           remote: bool| {
-            progress.done += 1;
-            match (outcome.is_ok(), source) {
-                (true, JobSource::Store) => {
-                    progress.store_hits += 1;
-                    if remote {
-                        progress.remote += 1;
-                    }
-                }
-                (true, _) => progress.simulated += 1,
-                (false, _) => progress.failed += 1,
-            }
-            let job = &specs[slot];
-            if let Ok(doc) = outcome {
-                if let Err(e) = dir.write(&job.hash_hex(), doc) {
-                    write_error.get_or_insert(e);
-                }
-            }
-            if let Some(t) = telemetry.as_mut() {
-                t.record(job.hash_hex(), job.label(), outcome.is_ok(), *timing);
-            }
-            if !opts.quiet {
-                // `store` marks a persistent-store hit; `done` a fresh
-                // simulation. (In-memory program-cache hits are not
-                // per-job events; they show in the end-of-run summary.)
-                // In claim mode a store hit carries its inserting shard:
-                // `store@<owner>` is the per-shard provenance line.
-                let state = match (outcome.is_ok(), source) {
-                    (true, JobSource::Store) => match origin {
-                        Some(owner) => format!("store@{owner}"),
-                        None => "store".to_string(),
-                    },
-                    (true, _) => "done".to_string(),
-                    (false, _) => "FAILED".to_string(),
-                };
-                let done = progress.done - skipped;
-                if opts.progress {
-                    // One status line, overwritten in place; padded so a
-                    // shorter label does not leave residue.
-                    eprint!(
-                        "\r[{done}/{total} eta {}] {state} {:<40}",
-                        eta(done, total, started),
-                        job.label()
-                    );
-                } else {
-                    eprintln!(
-                        "[{done}/{total} eta {}] {state} {}",
-                        eta(done, total, started),
-                        job.label()
-                    );
-                }
-                let _ = io::stderr().flush();
-            }
-            observer(&progress);
-        };
-        match (store.as_ref(), &opts.claim) {
-            (Some(s), Some(claim)) => {
-                run_jobs_claimed(&specs, workers, &programs, s, claim, |slot, done| {
-                    account(
-                        slot,
-                        &done.outcome,
-                        &done.timing,
-                        done.source,
-                        done.origin.as_deref(),
-                        done.remote,
-                    )
-                })
-                .into_iter()
-                .map(|c| (c.outcome, c.timing, c.source, c.origin))
-                .collect()
-            }
-            _ => run_jobs_stored(
-                &specs,
-                workers,
-                &programs,
-                store.as_ref(),
-                |slot, outcome, timing, source| account(slot, outcome, timing, source, None, false),
-            )
-            .into_iter()
-            .map(|(outcome, timing, source)| (outcome, timing, source, None))
-            .collect(),
-        }
+    let claiming = match (&store, &opts.claim) {
+        (Some(store), Some(claim)) => Claiming::Leases(store, claim),
+        (store, _) => Claiming::Local(store.as_ref()),
     };
+    // Every job — locally simulated, served from the store, or completed
+    // by a remote shard — passes through here exactly once, so the
+    // progress counters (and the NDJSON stream built on them) never
+    // over- or under-count.
+    let job_results = run_pool(&specs, workers, &programs, claiming, |slot, done| {
+        progress.done += 1;
+        match (done.outcome.is_ok(), done.source) {
+            (true, JobSource::Store) => {
+                progress.store_hits += 1;
+                if done.remote {
+                    progress.remote += 1;
+                }
+            }
+            (true, _) => progress.simulated += 1,
+            (false, _) => progress.failed += 1,
+        }
+        let job = &specs[slot];
+        if let Ok(doc) = &done.outcome {
+            if let Err(e) = dir.write(&job.hash_hex(), doc) {
+                write_error.get_or_insert(e);
+            }
+        }
+        if let Some(t) = telemetry.as_mut() {
+            t.record(
+                job.hash_hex(),
+                job.label(),
+                done.outcome.is_ok(),
+                done.timing,
+            );
+        }
+        if !opts.quiet {
+            // `store` marks a persistent-store hit; `done` a fresh
+            // simulation. (In-memory program-cache hits are not
+            // per-job events; they show in the end-of-run summary.)
+            // In claim mode a store hit carries its inserting shard:
+            // `store@<owner>` is the per-shard provenance line.
+            let state = match (done.outcome.is_ok(), done.source) {
+                (true, JobSource::Store) => match &done.origin {
+                    Some(owner) => format!("store@{owner}"),
+                    None => "store".to_string(),
+                },
+                (true, _) => "done".to_string(),
+                (false, _) => "FAILED".to_string(),
+            };
+            let done = progress.done - skipped;
+            if opts.progress {
+                // One status line, overwritten in place; padded so a
+                // shorter label does not leave residue.
+                eprint!(
+                    "\r[{done}/{total} eta {}] {state} {:<40}",
+                    eta(done, total, started),
+                    job.label()
+                );
+            } else {
+                eprintln!(
+                    "[{done}/{total} eta {}] {state} {}",
+                    eta(done, total, started),
+                    job.label()
+                );
+            }
+            let _ = io::stderr().flush();
+        }
+        observer(&progress);
+    });
     if !opts.quiet && opts.progress && total > 0 {
         eprintln!();
     }
@@ -375,10 +346,10 @@ pub fn run_sweep_observed(
     // Fold fresh results in and derive per-job statuses in sweep order.
     let mut failed = Vec::new();
     let mut origins: Vec<Option<String>> = vec![None; sweep.jobs.len()];
-    for ((index, job), (outcome, _, source, origin)) in pending.iter().zip(job_results) {
-        sources[*index] = source;
-        origins[*index] = origin;
-        match outcome {
+    for ((index, job), done) in pending.iter().zip(job_results) {
+        sources[*index] = done.source;
+        origins[*index] = done.origin;
+        match done.outcome {
             Ok(doc) => {
                 results.insert(job.hash_hex(), doc);
             }

@@ -10,20 +10,29 @@
 //! or how the OS interleaved them. Only scheduling varies with
 //! `workers`; results never do.
 //!
-//! When a persistent [`ResultStore`] is supplied
-//! ([`run_jobs_stored`]), each worker consults it before simulating:
-//! a valid entry under the job's store key is returned as-is (tagged
-//! [`JobSource::Store`]), and every freshly simulated success is
-//! inserted back — best-effort, since a read-only or full store must
-//! never fail a sweep. Store entries hold exactly the artifact the job
-//! would have produced, so a store hit is byte-identical to a
-//! simulation.
+//! One pool loop serves both ways of deciding who runs a job:
+//!
+//! * **Local** ([`run_jobs_stored`]): the cursor alone decides. An
+//!   optional persistent [`ResultStore`] is a cache: a valid entry under
+//!   the job's store key is returned as-is (tagged [`JobSource::Store`]),
+//!   and every freshly simulated success is inserted back — best-effort,
+//!   since a read-only or full store must never fail a sweep.
+//! * **Leases** ([`run_jobs_claimed`]): the store's `claims/` leases
+//!   decide, so any number of pools — in other processes, or on other
+//!   hosts sharing the store root — complete one job list exactly once.
+//!   Jobs leased by a live owner are deferred and polled until their
+//!   result appears or their lease goes stale and is stolen, and a
+//!   heartbeat thread renews the leases this pool holds.
+//!
+//! Store entries hold exactly the artifact the job would have produced,
+//! so a store hit is byte-identical to a simulation.
 
 use crate::artifact::JobSource;
 use crate::cache::{ProgramCache, WorkerContext};
+use crate::hash::code_fingerprint;
 use crate::job::JobSpec;
 use condspec_stats::Json;
-use condspec_store::{ClaimStatus, ResultStore};
+use condspec_store::{Claim, ResultStore};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -68,151 +77,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `jobs` on `workers` threads and returns one [`JobResult`] per
-/// job, in input order. `on_done(index, result)` fires on the calling
-/// thread as each job finishes (completion order), for progress
-/// reporting and incremental artifact writes.
-///
-/// A panicking job is caught, converted to `Err(message)`, and does not
-/// disturb any other job: the worker that caught it moves on to the
-/// next queue entry.
-pub fn run_jobs(
-    jobs: &[JobSpec],
-    workers: usize,
-    mut on_done: impl FnMut(usize, &JobResult),
-) -> Vec<JobResult> {
-    run_jobs_timed(jobs, workers, |index, outcome, _| on_done(index, outcome))
-        .into_iter()
-        .map(|(outcome, _)| outcome)
-        .collect()
-}
-
-/// [`run_jobs`] plus per-job wall-clock telemetry: each result carries
-/// the [`JobTiming`] of its execution, and `on_done` additionally
-/// receives the timing. Results (and their order) are exactly what
-/// [`run_jobs`] produces — only the timings vary run to run.
-pub fn run_jobs_timed(
-    jobs: &[JobSpec],
-    workers: usize,
-    on_done: impl FnMut(usize, &JobResult, &JobTiming),
-) -> Vec<(JobResult, JobTiming)> {
-    run_jobs_cached(jobs, workers, &Arc::new(ProgramCache::new()), on_done)
-}
-
-/// [`run_jobs_timed`] with cross-job reuse wired through: every worker
-/// fetches benchmark programs from the shared `programs` cache and
-/// keeps its simulator resident between jobs (reset in place when the
-/// next job's configuration matches). The caller owns the cache and can
-/// read its build/hit counters after the pool drains.
-///
-/// Reuse never leaks between jobs: a job that panics poisons only the
-/// worker's resident simulator, which is discarded before that worker
-/// claims its next job. Results are exactly what [`run_jobs_timed`]
-/// produces.
-pub fn run_jobs_cached(
-    jobs: &[JobSpec],
-    workers: usize,
-    programs: &Arc<ProgramCache>,
-    mut on_done: impl FnMut(usize, &JobResult, &JobTiming),
-) -> Vec<(JobResult, JobTiming)> {
-    run_jobs_stored(
-        jobs,
-        workers,
-        programs,
-        None,
-        |index, outcome, timing, _| on_done(index, outcome, timing),
-    )
-    .into_iter()
-    .map(|(outcome, timing, _)| (outcome, timing))
-    .collect()
-}
-
-/// [`run_jobs_cached`] plus the persistent result store: when `store`
-/// is given, each worker looks the job up by [`JobSpec::store_key`]
-/// before simulating and inserts every fresh success afterwards.
-/// `on_done` (and each returned triple) additionally carries the
-/// [`JobSource`] — [`JobSource::Store`] for a store hit,
-/// [`JobSource::Simulated`] otherwise (including failures, which are
-/// never stored). Store I/O errors on insert are swallowed: the
-/// simulation already succeeded, and a read-only store must not fail
-/// the sweep.
-pub fn run_jobs_stored(
-    jobs: &[JobSpec],
-    workers: usize,
-    programs: &Arc<ProgramCache>,
-    store: Option<&ResultStore>,
-    mut on_done: impl FnMut(usize, &JobResult, &JobTiming, JobSource),
-) -> Vec<(JobResult, JobTiming, JobSource)> {
-    let workers = workers.max(1).min(jobs.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, JobResult, JobTiming, JobSource)>();
-    let started = Instant::now();
-
-    let mut results: Vec<Option<(JobResult, JobTiming, JobSource)>> =
-        (0..jobs.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let mut ctx = WorkerContext::new(Arc::clone(programs));
-            scope.spawn(move || loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = jobs.get(index) else { break };
-                let queue_wait_ms = started.elapsed().as_millis() as u64;
-                let job_started = Instant::now();
-                let stored = store.and_then(|s| s.load(&spec.store_key()));
-                let (outcome, source) = match stored {
-                    Some(doc) => (Ok(doc), JobSource::Store),
-                    None => {
-                        let outcome =
-                            catch_unwind(AssertUnwindSafe(|| spec.execute_with(&mut ctx)))
-                                .map_err(panic_message);
-                        match (&outcome, store) {
-                            (Ok(doc), Some(s)) => {
-                                // Best-effort: a store that cannot be
-                                // written to (read-only, disk full)
-                                // must not fail the job it just ran.
-                                let _ = s.insert(
-                                    &spec.store_key(),
-                                    &spec.hash_hex(),
-                                    &spec.label(),
-                                    crate::hash::code_fingerprint(),
-                                    doc,
-                                );
-                            }
-                            (Err(_), _) => {
-                                // The simulator may have unwound
-                                // mid-cycle; never reuse it for the
-                                // next job.
-                                ctx.discard_simulator();
-                            }
-                            _ => {}
-                        }
-                        (outcome, JobSource::Simulated)
-                    }
-                };
-                let timing = JobTiming {
-                    worker,
-                    queue_wait_ms,
-                    wall_ms: job_started.elapsed().as_millis() as u64,
-                };
-                if tx.send((index, outcome, timing, source)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (index, outcome, timing, source) in rx {
-            on_done(index, &outcome, &timing, source);
-            results[index] = Some((outcome, timing, source));
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every job reports exactly once"))
-        .collect()
-}
-
 /// How a claim-mode pool identifies itself and judges other owners.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClaimOptions {
@@ -220,20 +84,18 @@ pub struct ClaimOptions {
     /// makes (per-shard provenance).
     pub owner: String,
     /// Time without a heartbeat after which another owner's lease is
-    /// presumed orphaned and stolen.
+    /// presumed orphaned and stolen. The pool heartbeats its own leases
+    /// and re-polls jobs held by live owners at intervals derived from
+    /// it.
     pub steal_after: Duration,
-    /// How long to sleep between re-checks of jobs held by live owners.
-    pub poll: Duration,
 }
 
 impl ClaimOptions {
-    /// Options for `owner` with the default steal timeout and poll
-    /// interval.
+    /// Options for `owner` with the default steal timeout.
     pub fn new(owner: impl Into<String>) -> ClaimOptions {
         ClaimOptions {
             owner: owner.into(),
             steal_after: condspec_store::DEFAULT_STEAL_TIMEOUT,
-            poll: Duration::from_millis(50),
         }
     }
 
@@ -241,6 +103,12 @@ impl ClaimOptions {
     /// `shard-<pid>`, unique per process on one host.
     pub fn default_owner() -> String {
         format!("shard-{}", std::process::id())
+    }
+
+    /// How long to sleep between re-checks of jobs held by live owners
+    /// (50 ms at the default steal timeout).
+    fn poll(&self) -> Duration {
+        (self.steal_after / 4).clamp(Duration::from_millis(10), Duration::from_millis(50))
     }
 }
 
@@ -250,7 +118,7 @@ impl Default for ClaimOptions {
     }
 }
 
-/// One job's outcome under claim-based draining ([`run_jobs_claimed`]).
+/// One job's outcome from the pool, with its provenance.
 #[derive(Debug, Clone)]
 pub struct ClaimedJob {
     /// The artifact document, or the failure message.
@@ -261,9 +129,10 @@ pub struct ClaimedJob {
     /// [`JobSource::Simulated`] when this pool ran the job,
     /// [`JobSource::Store`] when the result came from the store.
     pub source: JobSource,
-    /// The owner id that simulated the job, when known: ours for local
+    /// Under leases, the owner id that simulated the job: ours for local
     /// simulations, the inserting shard's for store hits (absent for
-    /// entries written outside the claim protocol).
+    /// entries written outside the claim protocol). Always absent for a
+    /// local pool.
     pub origin: Option<String>,
     /// True when the store result was inserted by a different owner
     /// than this pool — another shard (or an earlier run under another
@@ -272,10 +141,58 @@ pub struct ClaimedJob {
     pub remote: bool,
 }
 
-/// Claim-based draining: the distributed generalization of
-/// [`run_jobs_stored`]'s cursor loop. Any number of pools — in other
-/// processes or on other hosts sharing the store root — run this over
-/// the same job list and cooperatively complete it exactly once:
+/// Who may run a job, and where results are cached.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Claiming<'a> {
+    /// The pool's own cursor hands out every job; the store, when
+    /// given, is a cache consulted before and filled after simulating.
+    Local(Option<&'a ResultStore>),
+    /// The store's leases hand out jobs shared with other pools.
+    Leases(&'a ResultStore, &'a ClaimOptions),
+}
+
+/// Runs `jobs` on `workers` threads and returns one result per job, in
+/// input order. `on_done(index, result, timing, source)` fires on the
+/// calling thread as each job finishes (completion order), for progress
+/// reporting and incremental artifact writes.
+///
+/// A panicking job is caught, converted to `Err(message)`, and does not
+/// disturb any other job: its worker discards its resident simulator and
+/// moves on to the next queue entry. Every worker fetches benchmark
+/// programs from the shared `programs` cache and keeps its simulator
+/// between jobs (reset in place when the configuration matches); the
+/// caller can read the cache's build/hit counters after the pool drains.
+///
+/// When `store` is given, each worker looks the job up by
+/// [`JobSpec::store_key`] before simulating and inserts every fresh
+/// success afterwards. The source is [`JobSource::Store`] for a store
+/// hit and [`JobSource::Simulated`] otherwise (including failures, which
+/// are never stored). Store I/O errors on insert are swallowed: the
+/// simulation already succeeded, and a read-only store must not fail
+/// the sweep.
+pub fn run_jobs_stored(
+    jobs: &[JobSpec],
+    workers: usize,
+    programs: &Arc<ProgramCache>,
+    store: Option<&ResultStore>,
+    mut on_done: impl FnMut(usize, &JobResult, &JobTiming, JobSource),
+) -> Vec<(JobResult, JobTiming, JobSource)> {
+    run_pool(
+        jobs,
+        workers,
+        programs,
+        Claiming::Local(store),
+        |index, job| on_done(index, &job.outcome, &job.timing, job.source),
+    )
+    .into_iter()
+    .map(|job| (job.outcome, job.timing, job.source))
+    .collect()
+}
+
+/// [`run_jobs_stored`] under the store's lease protocol. Any number of
+/// pools — in other processes or on other hosts sharing the store root
+/// — run this over the same job list and cooperatively complete it
+/// exactly once:
 ///
 /// 1. a store hit resolves the job immediately;
 /// 2. otherwise the worker claims the job's lease (stealing stale
@@ -295,146 +212,88 @@ pub fn run_jobs_claimed(
     programs: &Arc<ProgramCache>,
     store: &ResultStore,
     claim: &ClaimOptions,
+    on_done: impl FnMut(usize, &ClaimedJob),
+) -> Vec<ClaimedJob> {
+    run_pool(
+        jobs,
+        workers,
+        programs,
+        Claiming::Leases(store, claim),
+        on_done,
+    )
+}
+
+/// The pool loop behind [`run_jobs_stored`] and [`run_jobs_claimed`].
+pub(crate) fn run_pool(
+    jobs: &[JobSpec],
+    workers: usize,
+    programs: &Arc<ProgramCache>,
+    claiming: Claiming<'_>,
     mut on_done: impl FnMut(usize, &ClaimedJob),
 ) -> Vec<ClaimedJob> {
     let workers = workers.max(1).min(jobs.len().max(1));
+    let claim = match claiming {
+        Claiming::Leases(_, claim) => Some(claim),
+        Claiming::Local(_) => None,
+    };
     let cursor = AtomicUsize::new(0);
+    // Leases only: jobs a live owner held when the cursor reached them,
+    // and the key each worker is simulating under its lease.
     let deferred: Mutex<VecDeque<usize>> = Mutex::new(VecDeque::new());
-    let held: Vec<Mutex<Option<String>>> = (0..workers).map(|_| Mutex::new(None)).collect();
+    let held: Vec<Mutex<Option<String>>> = match claim {
+        Some(_) => (0..workers).map(|_| Mutex::new(None)).collect(),
+        None => Vec::new(),
+    };
     let stop = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel::<(usize, ClaimedJob)>();
     let started = Instant::now();
 
     let mut results: Vec<Option<ClaimedJob>> = (0..jobs.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
-        // Heartbeat thread: renews every lease a worker currently holds
-        // so a long simulation is never stolen from a live pool.
-        {
-            let held = &held;
-            let stop = &stop;
-            let beat =
-                (claim.steal_after / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
-            let owner = claim.owner.clone();
-            scope.spawn(move || {
-                let tick = Duration::from_millis(10).min(beat);
-                let mut since_beat = Duration::ZERO;
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(tick);
-                    since_beat += tick;
-                    if since_beat < beat {
-                        continue;
-                    }
-                    since_beat = Duration::ZERO;
-                    for slot in held {
-                        let key = slot.lock().expect("heartbeat slot").clone();
-                        if let Some(key) = key {
-                            let _ = store.heartbeat(&key, &owner);
-                        }
-                    }
-                }
-            });
+        if let Claiming::Leases(store, claim) = claiming {
+            let (held, stop) = (&held, &stop);
+            scope.spawn(move || heartbeat(store, claim, held, stop));
         }
         for worker in 0..workers {
             let tx = tx.clone();
-            let cursor = &cursor;
-            let deferred = &deferred;
-            let held = &held;
-            let claim = &claim;
+            let (cursor, deferred, held) = (&cursor, &deferred, &held);
             let mut ctx = WorkerContext::new(Arc::clone(programs));
             scope.spawn(move || {
-                let resolve = |index: usize, ctx: &mut WorkerContext| {
-                    let spec = &jobs[index];
-                    let key = spec.store_key();
+                let mut attempt = |index: usize| {
                     let queue_wait_ms = started.elapsed().as_millis() as u64;
                     let job_started = Instant::now();
-                    let timing = |job_started: Instant| JobTiming {
-                        worker,
-                        queue_wait_ms,
-                        wall_ms: job_started.elapsed().as_millis() as u64,
-                    };
-                    if let Some((doc, origin)) = store.load_with_origin(&key) {
-                        let remote = origin.as_deref().is_some_and(|o| o != claim.owner);
-                        return Some(ClaimedJob {
-                            outcome: Ok(doc),
-                            timing: timing(job_started),
-                            source: JobSource::Store,
-                            origin,
-                            remote,
-                        });
-                    }
-                    match store.try_claim(&key, &claim.owner, claim.steal_after) {
-                        Ok(ClaimStatus::Acquired) | Ok(ClaimStatus::Stolen) => {}
-                        Ok(ClaimStatus::Busy { .. }) => return None,
-                        // A store root we cannot even write leases to:
-                        // fall through and simulate unclaimed rather
-                        // than wedge the sweep (inserts are idempotent).
-                        Err(_) => {}
-                    }
-                    // The previous holder may have inserted just before
-                    // releasing; re-check now that we hold the lease.
-                    if let Some((doc, origin)) = store.load_with_origin(&key) {
-                        let _ = store.release(&key, &claim.owner);
-                        let remote = origin.as_deref().is_some_and(|o| o != claim.owner);
-                        return Some(ClaimedJob {
-                            outcome: Ok(doc),
-                            timing: timing(job_started),
-                            source: JobSource::Store,
-                            origin,
-                            remote,
-                        });
-                    }
-                    *held[worker].lock().expect("held slot") = Some(key.clone());
-                    let outcome = catch_unwind(AssertUnwindSafe(|| spec.execute_with(ctx)))
-                        .map_err(panic_message);
-                    *held[worker].lock().expect("held slot") = None;
-                    match &outcome {
-                        Ok(doc) => {
-                            // Best-effort, like run_jobs_stored: a
-                            // read-only store must not fail the job.
-                            let _ = store.insert_claimed(
-                                &key,
-                                &spec.hash_hex(),
-                                &spec.label(),
-                                crate::hash::code_fingerprint(),
-                                doc,
-                                &claim.owner,
-                            );
-                        }
-                        Err(_) => {
-                            ctx.discard_simulator();
-                            let _ = store.release(&key, &claim.owner);
-                        }
-                    }
+                    let (outcome, source, origin) =
+                        run_one(&jobs[index], claiming, held.get(worker), &mut ctx)?;
                     Some(ClaimedJob {
                         outcome,
-                        timing: timing(job_started),
-                        source: JobSource::Simulated,
-                        origin: Some(claim.owner.clone()),
-                        remote: false,
+                        timing: JobTiming {
+                            worker,
+                            queue_wait_ms,
+                            wall_ms: job_started.elapsed().as_millis() as u64,
+                        },
+                        source,
+                        remote: origin
+                            .as_deref()
+                            .zip(claim)
+                            .is_some_and(|(o, c)| o != c.owner),
+                        origin,
                     })
                 };
-                // Phase 1: drain the cursor, deferring live-leased jobs.
+                // The cursor first; then (leases only) the jobs a live
+                // owner held, polled until each resolves: that owner
+                // inserts (a store hit) or dies (its lease goes stale
+                // and is stolen here).
                 loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= jobs.len() {
-                        break;
-                    }
-                    match resolve(index, &mut ctx) {
-                        Some(done) => {
-                            if tx.send((index, done)).is_err() {
-                                return;
-                            }
-                        }
-                        None => deferred.lock().expect("deferred queue").push_back(index),
-                    }
-                }
-                // Phase 2: poll deferred jobs until each resolves — the
-                // remote owner inserts (store hit) or dies (its lease
-                // goes stale and is stolen here).
-                loop {
-                    let index = deferred.lock().expect("deferred queue").pop_front();
-                    let Some(index) = index else { break };
-                    match resolve(index, &mut ctx) {
+                    let next = cursor.fetch_add(1, Ordering::Relaxed);
+                    let polling = next >= jobs.len();
+                    let index = if polling {
+                        let queued = deferred.lock().expect("deferred queue").pop_front();
+                        let Some(index) = queued else { break };
+                        index
+                    } else {
+                        next
+                    };
+                    match attempt(index) {
                         Some(done) => {
                             if tx.send((index, done)).is_err() {
                                 return;
@@ -442,7 +301,9 @@ pub fn run_jobs_claimed(
                         }
                         None => {
                             deferred.lock().expect("deferred queue").push_back(index);
-                            std::thread::sleep(claim.poll);
+                            if let Some(claim) = claim.filter(|_| polling) {
+                                std::thread::sleep(claim.poll());
+                            }
                         }
                     }
                 }
@@ -459,6 +320,105 @@ pub fn run_jobs_claimed(
         .into_iter()
         .map(|r| r.expect("every job reports exactly once"))
         .collect()
+}
+
+/// Runs one job: `None` when a live owner holds its lease (leases
+/// only), otherwise its outcome, source and — under leases — the owner
+/// that simulated it. `held` is the worker's heartbeat slot (leases
+/// only).
+fn run_one(
+    spec: &JobSpec,
+    claiming: Claiming<'_>,
+    held: Option<&Mutex<Option<String>>>,
+    ctx: &mut WorkerContext,
+) -> Option<(JobResult, JobSource, Option<String>)> {
+    let (store, claim) = match claiming {
+        Claiming::Local(None) => return Some((simulate(spec, ctx), JobSource::Simulated, None)),
+        Claiming::Local(Some(store)) => (store, None),
+        Claiming::Leases(store, claim) => (store, Some(claim)),
+    };
+    let key = spec.store_key();
+    match claim {
+        None => {
+            if let Some(doc) = store.load(&key) {
+                return Some((Ok(doc), JobSource::Store, None));
+            }
+        }
+        Some(claim) => match store.claim_or_load(&key, &claim.owner, claim.steal_after) {
+            Ok(Claim::Stored(doc, origin)) => return Some((Ok(doc), JobSource::Store, origin)),
+            Ok(Claim::Busy) => return None,
+            // A store root we cannot even write leases to: simulate
+            // unclaimed rather than wedge the sweep (inserts are
+            // idempotent).
+            Ok(Claim::Held) | Err(_) => {}
+        },
+    }
+    if let Some(slot) = held {
+        *slot.lock().expect("held slot") = Some(key.clone());
+    }
+    let outcome = simulate(spec, ctx);
+    if let Some(slot) = held {
+        *slot.lock().expect("held slot") = None;
+    }
+    // Best-effort: a store that cannot be written to (read-only, disk
+    // full) must not fail the job it just ran.
+    let (hash, label, fingerprint) = (spec.hash_hex(), spec.label(), code_fingerprint());
+    match (&outcome, claim) {
+        (Ok(doc), None) => {
+            let _ = store.insert(&key, &hash, &label, fingerprint, doc);
+        }
+        (Ok(doc), Some(claim)) => {
+            let _ = store.insert_claimed(&key, &hash, &label, fingerprint, doc, &claim.owner);
+        }
+        (Err(_), Some(claim)) => {
+            let _ = store.release(&key, &claim.owner);
+        }
+        (Err(_), None) => {}
+    }
+    Some((
+        outcome,
+        JobSource::Simulated,
+        claim.map(|c| c.owner.clone()),
+    ))
+}
+
+/// Runs `spec` on the worker's context, catching a panic as the job's
+/// failure message.
+fn simulate(spec: &JobSpec, ctx: &mut WorkerContext) -> JobResult {
+    let outcome = catch_unwind(AssertUnwindSafe(|| spec.execute_with(ctx))).map_err(panic_message);
+    if outcome.is_err() {
+        // The simulator may have unwound mid-cycle; never reuse it for
+        // the next job.
+        ctx.discard_simulator();
+    }
+    outcome
+}
+
+/// Renews every lease a worker holds at a quarter of the steal timeout,
+/// so a long simulation is never stolen from a live pool.
+fn heartbeat(
+    store: &ResultStore,
+    claim: &ClaimOptions,
+    held: &[Mutex<Option<String>>],
+    stop: &AtomicBool,
+) {
+    let beat = (claim.steal_after / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
+    let tick = Duration::from_millis(10);
+    let mut since_beat = Duration::ZERO;
+    while !stop.load(Ordering::Relaxed) {
+        std::thread::sleep(tick);
+        since_beat += tick;
+        if since_beat < beat {
+            continue;
+        }
+        since_beat = Duration::ZERO;
+        for slot in held {
+            let key = slot.lock().expect("heartbeat slot").clone();
+            if let Some(key) = key {
+                let _ = store.heartbeat(&key, &claim.owner);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -479,15 +439,31 @@ mod tests {
         j
     }
 
+    /// A local pool without a store, reporting each finished job to
+    /// `on_done`.
+    fn run(
+        jobs: &[JobSpec],
+        workers: usize,
+        mut on_done: impl FnMut(usize, &JobResult),
+    ) -> Vec<JobResult> {
+        let programs = Arc::new(ProgramCache::new());
+        run_jobs_stored(jobs, workers, &programs, None, |index, outcome, _, _| {
+            on_done(index, outcome)
+        })
+        .into_iter()
+        .map(|(outcome, _, _)| outcome)
+        .collect()
+    }
+
     #[test]
     fn results_are_in_input_order_for_any_worker_count() {
         let jobs = vec![tiny_job("gcc"), tiny_job("mcf"), tiny_job("lbm")];
-        let reference: Vec<String> = run_jobs(&jobs, 1, |_, _| {})
+        let reference: Vec<String> = run(&jobs, 1, |_, _| {})
             .into_iter()
             .map(|r| r.expect("tiny jobs halt").render())
             .collect();
         for workers in [2, 8] {
-            let got: Vec<String> = run_jobs(&jobs, workers, |_, _| {})
+            let got: Vec<String> = run(&jobs, workers, |_, _| {})
                 .into_iter()
                 .map(|r| r.expect("tiny jobs halt").render())
                 .collect();
@@ -501,7 +477,7 @@ mod tests {
         bad.budget = 10; // cannot halt in 10 cycles -> run_to_halt panics
         let jobs = vec![tiny_job("mcf"), bad, tiny_job("lbm")];
         let mut done = 0;
-        let results = run_jobs(&jobs, 2, |_, _| done += 1);
+        let results = run(&jobs, 2, |_, _| done += 1);
         assert_eq!(done, 3);
         assert!(results[0].is_ok());
         assert!(results[1]
@@ -512,7 +488,7 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_fine() {
-        assert!(run_jobs(&[], 4, |_, _| {}).is_empty());
+        assert!(run(&[], 4, |_, _| {}).is_empty());
     }
 
     #[test]
@@ -529,9 +505,9 @@ mod tests {
         let solo: Vec<String> = jobs.iter().map(|j| j.execute().render()).collect();
 
         let programs = Arc::new(ProgramCache::new());
-        let pooled: Vec<String> = run_jobs_cached(&jobs, 1, &programs, |_, _, _| {})
+        let pooled: Vec<String> = run_jobs_stored(&jobs, 1, &programs, None, |_, _, _, _| {})
             .into_iter()
-            .map(|(r, _)| r.expect("tiny jobs halt").render())
+            .map(|(r, _, _)| r.expect("tiny jobs halt").render())
             .collect();
         assert_eq!(pooled, solo, "reuse must not change any artifact");
 
@@ -550,7 +526,7 @@ mod tests {
         bad.budget = 10;
         let jobs = vec![tiny_job("gcc"), bad, tiny_job("gcc")];
         let expected = jobs[2].execute().render();
-        let results = run_jobs(&jobs, 1, |_, _| {});
+        let results = run(&jobs, 1, |_, _| {});
         assert!(results[1].is_err());
         assert_eq!(
             results[2].as_ref().expect("job after panic halts").render(),
@@ -591,20 +567,62 @@ mod tests {
     }
 
     #[test]
+    fn local_pools_take_no_leases_and_record_no_owner() {
+        let root =
+            std::env::temp_dir().join(format!("condspec-scheduler-local-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let store = ResultStore::open(&root);
+        let jobs = vec![tiny_job("gcc"), tiny_job("mcf")];
+        let programs = Arc::new(ProgramCache::new());
+        for _ in 0..2 {
+            let done = run_pool(
+                &jobs,
+                2,
+                &programs,
+                Claiming::Local(Some(&store)),
+                |_, _| {},
+            );
+            assert!(done.iter().all(|job| job.origin.is_none() && !job.remote));
+        }
+        assert_eq!((store.inserts(), store.hits()), (2, 2));
+        assert_eq!(store.claims(), 0);
+        assert!(!root.join("claims").exists(), "no lease was written");
+        assert_eq!(
+            store
+                .load_with_origin(&jobs[0].store_key())
+                .map(|(_, owner)| owner),
+            Some(None),
+            "local inserts name no owner"
+        );
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn timed_runs_report_plausible_telemetry() {
         let jobs = vec![tiny_job("gcc"), tiny_job("mcf"), tiny_job("lbm")];
-        let timed = run_jobs_timed(&jobs, 2, |_, outcome, timing| {
+        let programs = Arc::new(ProgramCache::new());
+        let timed = run_jobs_stored(&jobs, 2, &programs, None, |_, outcome, timing, _| {
             assert!(outcome.is_ok());
             assert!(timing.worker < 2);
         });
         assert_eq!(timed.len(), 3);
-        // Same results as the untimed API, in the same order.
-        let plain = run_jobs(&jobs, 2, |_, _| {});
-        for ((timed_result, _), plain_result) in timed.iter().zip(&plain) {
+        // Same results as running each job alone, in the same order.
+        for ((timed_result, _, _), job) in timed.iter().zip(&jobs) {
             assert_eq!(
                 timed_result.as_ref().map(Json::render),
-                plain_result.as_ref().map(Json::render)
+                Ok(job.execute().render())
             );
         }
+    }
+
+    #[test]
+    fn the_poll_interval_follows_the_steal_timeout() {
+        let with = |ms| ClaimOptions {
+            steal_after: Duration::from_millis(ms),
+            ..ClaimOptions::new("o")
+        };
+        assert_eq!(ClaimOptions::new("o").poll(), Duration::from_millis(50));
+        assert_eq!(with(50).poll(), Duration::from_micros(12_500));
+        assert_eq!(with(1).poll(), Duration::from_millis(10));
     }
 }

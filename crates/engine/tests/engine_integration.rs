@@ -358,7 +358,6 @@ fn a_dead_owners_leases_are_stolen_and_the_sweep_completes() {
     let programs = Arc::new(ProgramCache::new());
     let claim = ClaimOptions {
         steal_after: Duration::from_millis(50),
-        poll: Duration::from_millis(10),
         ..ClaimOptions::new("live-worker")
     };
     let results = run_jobs_claimed(&sweep.jobs, 2, &programs, &live, &claim, |_, _| {});

@@ -22,9 +22,9 @@
 //! | GET  | `/api/leaks` | taint-oracle leak matrix (`?variant=`, `?defense=`) |
 //! | GET  | `/api/sweeps` | list submissions |
 //! | POST | `/api/sweeps` | submit `{"sweep", "iters"?, "warmup"?, "mode"?, "distributed"?, "claim_timeout_ms"?}` |
-//! | POST | `/api/work/claim` | worker pulls one job `{"owner"}` |
+//! | POST | `/api/work/claim` | worker leases one job `{"owner"}` |
 //! | POST | `/api/work/result` | worker reports `{"owner", "submission", "index", "artifact"\|"error"}` |
-//! | POST | `/api/work/heartbeat` | renew liveness/claim `{"owner", "submission"?, "index"?}` |
+//! | POST | `/api/work/heartbeat` | renew liveness/lease `{"owner", "submission"?, "index"?}` |
 //! | GET  | `/api/sweeps/<id>` | one submission's status |
 //! | GET  | `/api/sweeps/<id>/stream` | chunked progress stream (NDJSON) |
 //! | GET  | `/api/sweeps/<id>/report` | rendered report text |
@@ -201,8 +201,7 @@ fn handle_connection(
             }
         }
         ("GET", ["api", "report", sweep_id]) => {
-            let store = state.store_root.as_deref().map(ResultStore::open);
-            match load_sweep_report_with_store(&state.runs_root, sweep_id, store.as_ref()) {
+            match load_sweep_report_with_store(&state.runs_root, sweep_id, state.store()) {
                 Ok(report) => respond_text(stream, 200, &report.sweep.render(&report.results)),
                 Err(e) => respond_json(stream, 404, &error_json(&e)),
             }
@@ -234,6 +233,15 @@ fn parse_id(text: &str) -> Option<u64> {
 
 fn error_json(message: &str) -> String {
     Json::object(vec![("error", Json::from(message))]).render()
+}
+
+/// The 409 every store-backed endpoint answers on a `--no-store` daemon.
+fn store_disabled(stream: &mut TcpStream) -> io::Result<()> {
+    respond_json(
+        stream,
+        409,
+        &error_json("the store is disabled (--no-store)"),
+    )
 }
 
 fn index_json() -> Json {
@@ -296,6 +304,10 @@ fn submit_sweep(
     let iterations = body.get("iters").and_then(Json::as_u64);
     let warmup = body.get("warmup").and_then(Json::as_u64);
     if body.get("distributed").and_then(Json::as_bool) == Some(true) {
+        // Remote workers' leases live in the store.
+        if state.store().is_none() {
+            return store_disabled(stream);
+        }
         let claim_timeout = body
             .get("claim_timeout_ms")
             .and_then(Json::as_u64)
@@ -341,8 +353,8 @@ fn submit_sweep(
     )
 }
 
-/// `POST /api/work/claim` — a worker pulls one pending job from the
-/// distributed queues. The response is either a job descriptor
+/// `POST /api/work/claim` — a worker leases one pending job of the
+/// distributed submissions. The response is either a job descriptor
 /// (`submission`, `index`, `sweep`, `key`, ...) or `{"idle": true}`.
 fn work_claim(
     state: &Arc<ServerState>,
@@ -400,7 +412,7 @@ fn work_result(
 }
 
 /// `POST /api/work/heartbeat` — renews a worker's liveness (and, when
-/// `submission`/`index` name a held claim, that claim's lease).
+/// `submission`/`index` name a job it holds, that job's lease).
 fn work_heartbeat(
     state: &Arc<ServerState>,
     stream: &mut TcpStream,
@@ -508,13 +520,12 @@ fn run_job(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Request) 
         Ok(j) => j,
         Err(e) => return respond_json(stream, 400, &error_json(&e)),
     };
-    let store = state.store_root.as_deref().map(ResultStore::open);
     let programs = Arc::new(ProgramCache::new());
     let mut results = condspec_engine::run_jobs_stored(
         std::slice::from_ref(&job),
         1,
         &programs,
-        store.as_ref(),
+        state.store(),
         |_, _, _, _| {},
     );
     let (outcome, _, source) = results.remove(0);
@@ -538,8 +549,8 @@ fn run_job(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Request) 
 /// build version, seconds of uptime, the store root (or null when the
 /// store is disabled), how many submissions are queued or running, and
 /// the distributed-work picture: connected workers (with per-worker
-/// last-heartbeat age and completion count) and leases in flight (serve
-/// claims handed out plus on-disk store leases).
+/// last-heartbeat age and completion count) and the store's leases in
+/// flight (remote workers' and store-root pools' alike).
 fn healthz(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
     let workers = state.workers_snapshot();
     let worker_rows: Vec<Json> = workers
@@ -555,12 +566,10 @@ fn healthz(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
             ])
         })
         .collect();
-    let store_leases = state
-        .store_root
-        .as_deref()
-        .and_then(|root| ResultStore::open(root).leases().ok())
-        .map(|leases| leases.len())
-        .unwrap_or(0);
+    let leases = state
+        .store()
+        .and_then(|store| store.leases().ok())
+        .map_or(0, |leases| leases.len());
     let doc = Json::object(vec![
         ("ok", Json::from(true)),
         ("version", Json::from(env!("CARGO_PKG_VERSION"))),
@@ -575,10 +584,7 @@ fn healthz(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
         ("jobs_in_flight", Json::from(state.in_flight() as u64)),
         ("workers_connected", Json::from(workers.len() as u64)),
         ("workers", Json::Array(worker_rows)),
-        (
-            "leases_in_flight",
-            Json::from((state.work_claims_in_flight() + store_leases) as u64),
-        ),
+        ("leases_in_flight", Json::from(leases as u64)),
     ]);
     respond_json(stream, 200, &format!("{}\n", doc.render()))
 }
@@ -737,14 +743,9 @@ fn serve_timeseries(stream: &mut TcpStream, request: &Request) -> io::Result<()>
 /// order: one row per checkpoint with its store key, identity string,
 /// label, and payload size.
 fn list_checkpoints(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
-    let Some(root) = state.store_root.as_deref() else {
-        return respond_json(
-            stream,
-            409,
-            &error_json("the store is disabled (--no-store)"),
-        );
+    let Some(store) = state.store() else {
+        return store_disabled(stream);
     };
-    let store = ResultStore::open(root);
     let entries = match store.list_checkpoints() {
         Ok(entries) => entries,
         Err(e) => return respond_json(stream, 500, &error_json(&e.to_string())),
@@ -769,14 +770,9 @@ fn list_checkpoints(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Res
 
 /// Store stats and counters, rendered through the metrics registry.
 fn store_stats(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
-    let Some(root) = state.store_root.as_deref() else {
-        return respond_json(
-            stream,
-            409,
-            &error_json("the store is disabled (--no-store)"),
-        );
+    let Some(store) = state.store() else {
+        return store_disabled(stream);
     };
-    let store = ResultStore::open(root);
     let stats = match store.stats() {
         Ok(s) => s,
         Err(e) => return respond_json(stream, 500, &error_json(&e.to_string())),
@@ -794,8 +790,8 @@ fn store_stats(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<(
         state.store_inserts_total.load(Ordering::Relaxed),
     );
     let doc = Json::object(vec![
-        ("root", Json::from(root.display().to_string())),
-        ("summary", Json::from(stats.summary(root))),
+        ("root", Json::from(store.root().display().to_string())),
+        ("summary", Json::from(stats.summary(store.root()))),
         ("metrics", registry.to_json()),
     ]);
     respond_json(stream, 200, &format!("{}\n", doc.render()))
@@ -812,8 +808,8 @@ fn metrics(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
         "store.inserts",
         state.store_inserts_total.load(Ordering::Relaxed),
     );
-    if let Some(root) = state.store_root.as_deref() {
-        if let Ok(stats) = ResultStore::open(root).stats() {
+    if let Some(store) = state.store() {
+        if let Ok(stats) = store.stats() {
             registry.set_counter("store.entries", stats.entries);
             registry.set_counter("store.bytes", stats.bytes);
             registry.set_counter("store.checkpoints", stats.checkpoints);

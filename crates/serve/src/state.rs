@@ -11,11 +11,12 @@
 //! run of the same sweep.
 
 use condspec_engine::{
-    default_workers, run_jobs_stored, run_sampled_bench, run_sweep_observed, JobSource, JobStatus,
-    ManifestInfo, ProgramCache, ResultStore, SampledBenchSpec, Sweep, SweepDir, SweepOptions,
-    SweepProgress, SweepResults,
+    default_workers, run_jobs_stored, run_sampled_bench, run_sweep_observed, JobSource, JobSpec,
+    JobStatus, ManifestInfo, ProgramCache, ResultStore, SampledBenchSpec, Sweep, SweepDir,
+    SweepOptions, SweepProgress, SweepResults,
 };
 use condspec_stats::Json;
+use condspec_store::Claim;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -156,6 +157,9 @@ pub struct ServerState {
     pub runs_root: PathBuf,
     /// Persistent store root; `None` disables the store.
     pub store_root: Option<PathBuf>,
+    /// The daemon's handle on that store. Distributed submissions take
+    /// their leases through it on each remote worker's behalf.
+    store: Option<ResultStore>,
     /// Accepted submissions, newest last.
     submissions: Mutex<Vec<Submission>>,
     next_id: AtomicU64,
@@ -189,45 +193,40 @@ pub struct WorkerEntry {
     pub completed: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum ItemState {
-    Pending,
-    Claimed { owner: String, since: Instant },
-    Done,
-}
-
+/// How one job of a distributed submission was resolved.
 #[derive(Debug, Clone)]
-struct WorkItem {
-    state: ItemState,
-    /// Owner that produced the result (or the store entry's recorded
-    /// inserter for jobs resolved at submit time).
+struct Resolved {
+    /// The owner that simulated it: the reporting worker, or for a store
+    /// hit the inserting shard recorded in the entry.
     owner: Option<String>,
-    /// Resolved from the persistent store at submit time, not simulated.
+    /// Found in the persistent store rather than reported over the
+    /// work API.
     via_store: bool,
     failed: bool,
 }
 
-/// One distributed submission's work queue: the scaled sweep, one item
-/// per job, and the artifacts collected so far. Jobs already in the
-/// store are resolved at submit time; the rest are handed out over
-/// `POST /api/work/claim` and reported back over `POST /api/work/result`.
+/// One distributed submission: the scaled sweep, each job's resolution
+/// (`None` until resolved), and the artifacts collected so far. Who is
+/// working on an unresolved job is not recorded here: that is the
+/// store's lease on its key, which the daemon takes under the claiming
+/// worker's owner id — so `condspec worker --store-root` pools on the
+/// same root and `--attach` workers never run each other's jobs.
 struct DistributedRun {
     submission: u64,
     sweep: Sweep,
     dir: SweepDir,
     iterations: Option<u64>,
     warmup: Option<u64>,
-    /// A claimed item not reported or heartbeat within this window is
-    /// requeued (requeue-on-disconnect).
-    claim_timeout: Duration,
-    items: Vec<WorkItem>,
+    /// The steal timeout of this run's leases (`claim_timeout_ms`): a
+    /// lease not heartbeat within it is presumed orphaned and re-issued.
+    steal_after: Duration,
+    items: Vec<Option<Resolved>>,
     results: SweepResults,
-    store: Option<ResultStore>,
 }
 
 impl DistributedRun {
     fn complete(&self) -> bool {
-        self.items.iter().all(|i| i.state == ItemState::Done)
+        self.items.iter().all(Option::is_some)
     }
 }
 
@@ -237,6 +236,7 @@ impl ServerState {
         ServerState {
             workers,
             runs_root,
+            store: store_root.as_ref().map(ResultStore::open),
             store_root,
             submissions: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
@@ -293,25 +293,7 @@ impl ServerState {
     ) -> (u64, String) {
         let opts = self.sweep_options(iterations, warmup);
         let scaled_id = sweep.clone().scaled(iterations, warmup).sweep_id();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.submissions.lock().expect("registry").push(Submission {
-            id,
-            sweep: sweep.name.to_string(),
-            sweep_id: scaled_id.clone(),
-            mode,
-            status: SubmissionStatus::Queued,
-            progress: SweepProgress {
-                done: 0,
-                total: sweep.jobs.len(),
-                simulated: 0,
-                store_hits: 0,
-                remote: 0,
-                failed: 0,
-            },
-            error: None,
-            report: None,
-            workers: Vec::new(),
-        });
+        let id = self.register(&sweep, &scaled_id, mode, SubmissionStatus::Queued);
 
         let state = Arc::clone(self);
         std::thread::spawn(move || {
@@ -339,13 +321,7 @@ impl ServerState {
                                 s.report = Some(report);
                             });
                         }
-                        Err(e) => {
-                            let message = e.to_string();
-                            state.update(id, move |s| {
-                                s.status = SubmissionStatus::Error;
-                                s.error = Some(message);
-                            });
-                        }
+                        Err(e) => state.fail(id, &e),
                     }
                 }
                 SubmitMode::Sampled => {
@@ -377,6 +353,41 @@ impl ServerState {
         (id, scaled_id)
     }
 
+    /// Adds a submission of `sweep` with no progress yet; returns its id.
+    fn register(
+        &self,
+        sweep: &Sweep,
+        sweep_id: &str,
+        mode: SubmitMode,
+        status: SubmissionStatus,
+    ) -> u64 {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.submissions.lock().expect("registry").push(Submission {
+            id,
+            sweep: sweep.name.to_string(),
+            sweep_id: sweep_id.to_string(),
+            mode,
+            status,
+            progress: SweepProgress {
+                total: sweep.jobs.len(),
+                ..SweepProgress::default()
+            },
+            error: None,
+            report: None,
+            workers: Vec::new(),
+        });
+        id
+    }
+
+    /// Marks a submission errored.
+    fn fail(&self, id: u64, error: &io::Error) {
+        let message = error.to_string();
+        self.update(id, move |s| {
+            s.status = SubmissionStatus::Error;
+            s.error = Some(message);
+        });
+    }
+
     /// Applies `f` to the submission with `id`, if it exists.
     fn update(&self, id: u64, f: impl FnOnce(&mut Submission)) {
         let mut registry = self.submissions.lock().expect("registry");
@@ -400,21 +411,24 @@ impl ServerState {
         self.submissions.lock().expect("registry").clone()
     }
 
-    /// Default requeue window for distributed submissions that do not
-    /// pick one.
-    pub const DEFAULT_CLAIM_TIMEOUT: Duration = Duration::from_secs(60);
+    /// The daemon's store handle; `None` when the store is disabled.
+    pub fn store(&self) -> Option<&ResultStore> {
+        self.store.as_ref()
+    }
 
     /// Registers a distributed submission: jobs already in the store
     /// resolve immediately (with their recorded inserting shard as
-    /// provenance); the rest form a pull-model work queue drained by
-    /// remote workers over `POST /api/work/claim` / `/api/work/result`.
-    /// No local simulation happens at all. Returns
-    /// `(submission id, sweep id)`.
+    /// provenance); the rest are leased to remote workers over `POST
+    /// /api/work/claim` and reported back over `/api/work/result`. No
+    /// local simulation happens at all. `claim_timeout` is the leases'
+    /// steal timeout (default [`condspec_store::DEFAULT_STEAL_TIMEOUT`]).
+    /// Returns `(submission id, sweep id)`.
     ///
     /// # Errors
     ///
     /// Any I/O error creating the run directory or writing an artifact
-    /// or manifest.
+    /// or manifest, and an error when the store is disabled: the leases
+    /// live in it.
     pub fn submit_distributed(
         &self,
         sweep: Sweep,
@@ -422,75 +436,36 @@ impl ServerState {
         warmup: Option<u64>,
         claim_timeout: Option<Duration>,
     ) -> io::Result<(u64, String)> {
-        let scaled = sweep.clone().scaled(iterations, warmup);
+        let Some(store) = &self.store else {
+            return Err(io::Error::other("the store is disabled (--no-store)"));
+        };
+        let scaled = sweep.scaled(iterations, warmup);
         let sweep_id = scaled.sweep_id();
         let dir = SweepDir::create(&self.runs_root, &sweep_id)?;
-        let store = self.store_root.as_ref().map(ResultStore::open);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut items = Vec::with_capacity(scaled.jobs.len());
-        let mut results = SweepResults::new();
-        let mut write_error: Option<io::Error> = None;
-        for job in &scaled.jobs {
-            let resolved = store
-                .as_ref()
-                .and_then(|s| s.load_with_origin(&job.store_key()));
-            match resolved {
-                Some((doc, origin)) => {
-                    if let Err(e) = dir.write(&job.hash_hex(), &doc) {
-                        write_error.get_or_insert(e);
-                    }
-                    results.insert(job.hash_hex(), doc);
-                    items.push(WorkItem {
-                        state: ItemState::Done,
-                        owner: origin,
-                        via_store: true,
-                        failed: false,
-                    });
-                }
-                None => items.push(WorkItem {
-                    state: ItemState::Pending,
-                    owner: None,
-                    via_store: false,
-                    failed: false,
-                }),
-            }
-        }
-        if let Some(e) = write_error {
-            return Err(e);
-        }
-        let hits = items.iter().filter(|i| i.via_store).count();
-        self.submissions.lock().expect("registry").push(Submission {
-            id,
-            sweep: sweep.name.to_string(),
-            sweep_id: sweep_id.clone(),
-            mode: SubmitMode::Detailed,
-            status: SubmissionStatus::Running,
-            progress: SweepProgress {
-                done: hits,
-                total: scaled.jobs.len(),
-                simulated: 0,
-                store_hits: hits,
-                remote: 0,
-                failed: 0,
-            },
-            error: None,
-            report: None,
-            workers: Vec::new(),
-        });
-        let run = DistributedRun {
+        let id = self.register(
+            &scaled,
+            &sweep_id,
+            SubmitMode::Detailed,
+            SubmissionStatus::Running,
+        );
+        let mut run = DistributedRun {
             submission: id,
-            sweep: scaled,
             dir,
             iterations,
             warmup,
-            claim_timeout: claim_timeout.unwrap_or(Self::DEFAULT_CLAIM_TIMEOUT),
-            items,
-            results,
-            store,
+            steal_after: claim_timeout.unwrap_or(condspec_store::DEFAULT_STEAL_TIMEOUT),
+            items: vec![None; scaled.jobs.len()],
+            results: SweepResults::new(),
+            sweep: scaled,
         };
-        if run.complete() {
-            // A fully warm store: nothing to hand out.
-            self.finalize_distributed(&run)?;
+        for index in 0..run.items.len() {
+            if let Some((doc, origin)) = store.load_with_origin(&run.sweep.jobs[index].store_key())
+            {
+                if let Err(e) = self.record(&mut run, index, Ok(doc), origin, true) {
+                    self.fail(id, &e);
+                    return Err(e);
+                }
+            }
         }
         self.work.lock().expect("work queue").push(run);
         Ok((id, sweep_id))
@@ -513,34 +488,24 @@ impl ServerState {
         }
     }
 
-    /// `POST /api/work/claim`: hands `owner` the next pending job of
-    /// the oldest incomplete distributed submission. Expired claims
-    /// (no result or heartbeat within the run's claim timeout) are
-    /// requeued first, so a disconnected worker's jobs are re-issued.
-    /// With nothing to hand out, responds `{"idle": true, "active": N}`.
+    /// `POST /api/work/claim`: leases `owner` the first unresolved job of
+    /// the oldest incomplete distributed submission that no live owner
+    /// holds. Leases are the store's (DESIGN §13.1): a lease older than
+    /// the run's claim timeout is stolen, so a disconnected worker's job
+    /// is re-issued, and jobs another worker inserted meanwhile —
+    /// including `condspec worker` pools on the store root — resolve as
+    /// store hits. With nothing to hand out, responds `{"idle": true,
+    /// "active": N}`.
     pub fn claim_work(&self, owner: &str) -> Json {
         self.touch_worker(owner, 0);
         let mut work = self.work.lock().expect("work queue");
         let mut active = 0usize;
-        for run in work.iter_mut() {
-            if run.complete() {
-                continue;
+        for run in work.iter_mut().filter(|run| !run.complete()) {
+            let handed = self.lease_next(run, owner);
+            if !run.complete() {
+                active += 1;
             }
-            active += 1;
-            for item in run.items.iter_mut() {
-                if let ItemState::Claimed { since, .. } = &item.state {
-                    if since.elapsed() > run.claim_timeout {
-                        item.state = ItemState::Pending;
-                    }
-                }
-            }
-            let Some(index) = run.items.iter().position(|i| i.state == ItemState::Pending) else {
-                continue;
-            };
-            run.items[index].state = ItemState::Claimed {
-                owner: owner.to_string(),
-                since: Instant::now(),
-            };
+            let Some(index) = handed else { continue };
             let job = &run.sweep.jobs[index];
             let mut fields = vec![
                 ("submission", Json::from(run.submission)),
@@ -550,7 +515,7 @@ impl ServerState {
                 ("label", Json::from(job.label())),
                 (
                     "claim_timeout_ms",
-                    Json::from(run.claim_timeout.as_millis() as u64),
+                    Json::from(run.steal_after.as_millis() as u64),
                 ),
             ];
             if let Some(iters) = run.iterations {
@@ -567,11 +532,38 @@ impl ServerState {
         ])
     }
 
+    /// Walks `run`'s unresolved jobs in order: a stored result resolves
+    /// the job, a live owner's lease skips it, and the first job whose
+    /// lease `owner` takes is returned. A store root that refuses leases
+    /// hands the job out unclaimed; first-result-wins keeps the run
+    /// exact.
+    fn lease_next(&self, run: &mut DistributedRun, owner: &str) -> Option<usize> {
+        let store = self.store.as_ref()?;
+        for index in 0..run.items.len() {
+            if run.items[index].is_some() {
+                continue;
+            }
+            let key = run.sweep.jobs[index].store_key();
+            match store.claim_or_load(&key, owner, run.steal_after) {
+                Ok(Claim::Stored(doc, origin)) => {
+                    if let Err(e) = self.record(run, index, Ok(doc), origin, true) {
+                        self.fail(run.submission, &e);
+                    }
+                }
+                Ok(Claim::Busy) => {}
+                Ok(Claim::Held) | Err(_) => return Some(index),
+            }
+        }
+        None
+    }
+
     /// `POST /api/work/result`: accepts `owner`'s result for one
-    /// claimed job. First result wins; a duplicate (e.g. from a worker
-    /// whose claim expired and was re-issued) is acknowledged without
-    /// recounting. Finishing the last item finalizes the submission
-    /// (manifest with per-shard provenance, rendered report).
+    /// claimed job, filing a success in the store under `owner` (which
+    /// also releases its lease). First result wins; a duplicate (e.g.
+    /// from a worker whose lease was stolen and re-issued) is
+    /// acknowledged without recounting. Finishing the last job
+    /// finalizes the submission (manifest with per-shard provenance,
+    /// rendered report).
     ///
     /// # Errors
     ///
@@ -594,49 +586,76 @@ impl ServerState {
                 run.items.len()
             ));
         }
-        if run.items[index].state == ItemState::Done {
+        let job = &run.sweep.jobs[index];
+        let key = job.store_key();
+        if run.items[index].is_some() {
+            // A late report: drop the reporter's lease if it still holds
+            // one, and change nothing else.
+            if let Some(store) = &self.store {
+                let _ = store.release(&key, owner);
+            }
             self.touch_worker(owner, 0);
             return Ok(Json::object(vec![
                 ("ok", Json::from(true)),
                 ("duplicate", Json::from(true)),
             ]));
         }
-        let job = run.sweep.jobs[index].clone();
-        run.items[index].state = ItemState::Done;
-        run.items[index].owner = Some(owner.to_string());
-        match outcome {
-            Ok(doc) => {
-                if let Some(s) = &run.store {
-                    // Best-effort, with the reporting shard recorded as
-                    // the entry's owner — local workers sharing the
-                    // store see this job as already complete.
-                    let _ = s.insert_claimed(
-                        &job.store_key(),
-                        &job.hash_hex(),
-                        &job.label(),
-                        condspec_engine::hash::code_fingerprint(),
-                        &doc,
-                        owner,
-                    );
-                }
-                if let Err(e) = run.dir.write(&job.hash_hex(), &doc) {
-                    return Err(format!("artifact write failed: {e}"));
-                }
-                run.results.insert(job.hash_hex(), doc);
-            }
-            Err(_) => run.items[index].failed = true,
+        if let Some(store) = &self.store {
+            // Best-effort: the result is recorded in the run either way.
+            let _ = match &outcome {
+                Ok(doc) => store.insert_claimed(
+                    &key,
+                    &job.hash_hex(),
+                    &job.label(),
+                    condspec_engine::hash::code_fingerprint(),
+                    doc,
+                    owner,
+                ),
+                Err(_) => store.release(&key, owner).map(drop),
+            };
         }
         self.touch_worker(owner, 1);
+        self.record(run, index, outcome, Some(owner.to_string()), false)
+            .map_err(|e| format!("artifact write failed: {e}"))?;
+        let remaining = run.items.iter().filter(|i| i.is_none()).count();
+        Ok(Json::object(vec![
+            ("ok", Json::from(true)),
+            ("remaining", Json::from(remaining as u64)),
+        ]))
+    }
 
-        // Recount from the items so the submission's done/simulated/
-        // store_hits/failed are exact no matter how results interleave.
-        let done = run
-            .items
-            .iter()
-            .filter(|i| i.state == ItemState::Done)
-            .count();
-        let store_hits = run.items.iter().filter(|i| i.via_store).count();
-        let failed = run.items.iter().filter(|i| i.failed).count();
+    /// Resolves job `index` of `run`: writes its artifact, republishes
+    /// the submission's progress (recounted from the items, so
+    /// done/simulated/store_hits/failed stay exact however results
+    /// interleave), credits a reporting worker, and finalizes the run
+    /// once every job is resolved.
+    fn record(
+        &self,
+        run: &mut DistributedRun,
+        index: usize,
+        outcome: Result<Json, String>,
+        owner: Option<String>,
+        via_store: bool,
+    ) -> io::Result<()> {
+        let hash = run.sweep.jobs[index].hash_hex();
+        let failed = match outcome {
+            Ok(doc) => {
+                run.dir.write(&hash, &doc)?;
+                run.results.insert(hash, doc);
+                false
+            }
+            Err(_) => true,
+        };
+        let credit = owner.clone().filter(|_| !via_store);
+        run.items[index] = Some(Resolved {
+            owner,
+            via_store,
+            failed,
+        });
+        let resolved = || run.items.iter().flatten();
+        let done = resolved().count();
+        let store_hits = resolved().filter(|i| i.via_store).count();
+        let failed = resolved().filter(|i| i.failed).count();
         let simulated = done - store_hits - failed;
         let progress = SweepProgress {
             done,
@@ -648,32 +667,26 @@ impl ServerState {
             remote: simulated,
             failed,
         };
-        let worker_owner = owner.to_string();
-        self.update(submission, move |s| {
+        self.update(run.submission, move |s| {
             s.progress = progress;
-            match s.workers.iter_mut().find(|(o, _)| *o == worker_owner) {
-                Some((_, count)) => *count += 1,
-                None => s.workers.push((worker_owner, 1)),
+            if let Some(owner) = credit {
+                match s.workers.iter_mut().find(|(o, _)| *o == owner) {
+                    Some((_, count)) => *count += 1,
+                    None => s.workers.push((owner, 1)),
+                }
             }
         });
         if run.complete() {
             if let Err(e) = self.finalize_distributed(run) {
-                let message = e.to_string();
-                self.update(submission, move |s| {
-                    s.status = SubmissionStatus::Error;
-                    s.error = Some(message);
-                });
+                self.fail(run.submission, &e);
             }
         }
-        Ok(Json::object(vec![
-            ("ok", Json::from(true)),
-            ("remaining", Json::from((run.items.len() - done) as u64)),
-        ]))
+        Ok(())
     }
 
     /// `POST /api/work/heartbeat`: renews `owner`'s liveness, and — when
-    /// a claimed `(submission, index)` is named — its claim window, so a
-    /// slow simulation is not requeued from under a live worker.
+    /// `(submission, index)` names a job whose lease `owner` holds — that
+    /// lease, so a slow simulation is not stolen from a live worker.
     pub fn work_heartbeat(
         &self,
         owner: &str,
@@ -681,24 +694,21 @@ impl ServerState {
         index: Option<usize>,
     ) -> Json {
         self.touch_worker(owner, 0);
-        let mut held = false;
-        if let (Some(submission), Some(index)) = (submission, index) {
-            let mut work = self.work.lock().expect("work queue");
-            if let Some(run) = work.iter_mut().find(|r| r.submission == submission) {
-                if let Some(item) = run.items.get_mut(index) {
-                    if let ItemState::Claimed {
-                        owner: holder,
-                        since,
-                    } = &mut item.state
-                    {
-                        if holder == owner {
-                            *since = Instant::now();
-                            held = true;
-                        }
-                    }
-                }
-            }
-        }
+        let key = match (submission, index) {
+            (Some(submission), Some(index)) => self
+                .work
+                .lock()
+                .expect("work queue")
+                .iter()
+                .find(|r| r.submission == submission)
+                .and_then(|run| run.sweep.jobs.get(index))
+                .map(JobSpec::store_key),
+            _ => None,
+        };
+        let held = match (key, &self.store) {
+            (Some(key), Some(store)) => store.heartbeat(&key, owner).unwrap_or(false),
+            _ => false,
+        };
         Json::object(vec![("ok", Json::from(true)), ("held", Json::from(held))])
     }
 
@@ -709,7 +719,7 @@ impl ServerState {
             .sweep
             .jobs
             .iter()
-            .zip(&run.items)
+            .zip(run.items.iter().flatten())
             .map(|(job, item)| {
                 let hash = job.hash_hex();
                 let status = if run.results.contains_key(&hash) {
@@ -739,17 +749,12 @@ impl ServerState {
             },
             &statuses,
         )?;
-        if self.store_root.is_some() {
-            let hits = run.items.iter().filter(|i| i.via_store).count() as u64;
-            let simulated = run
-                .items
-                .iter()
-                .filter(|i| !i.via_store && !i.failed)
-                .count() as u64;
-            self.store_hits_total.fetch_add(hits, Ordering::Relaxed);
-            self.store_inserts_total
-                .fetch_add(simulated, Ordering::Relaxed);
-        }
+        let resolved = || run.items.iter().flatten();
+        let hits = resolved().filter(|i| i.via_store).count() as u64;
+        let simulated = resolved().filter(|i| !i.via_store && !i.failed).count() as u64;
+        self.store_hits_total.fetch_add(hits, Ordering::Relaxed);
+        self.store_inserts_total
+            .fetch_add(simulated, Ordering::Relaxed);
         let report = run.sweep.render(&run.results);
         self.update(run.submission, move |s| {
             s.status = SubmissionStatus::Done;
@@ -761,17 +766,6 @@ impl ServerState {
     /// Every known worker, first-seen order (for `/healthz`).
     pub fn workers_snapshot(&self) -> Vec<WorkerEntry> {
         self.registry.lock().expect("worker registry").clone()
-    }
-
-    /// Work-API claims currently held by workers (for `/healthz`).
-    pub fn work_claims_in_flight(&self) -> usize {
-        self.work
-            .lock()
-            .expect("work queue")
-            .iter()
-            .flat_map(|run| run.items.iter())
-            .filter(|i| matches!(i.state, ItemState::Claimed { .. }))
-            .count()
     }
 }
 
@@ -794,12 +788,8 @@ fn run_sampled_submission(
     let mut results = SweepResults::new();
     let (mut window_hits, mut window_inserts) = (0u64, 0u64);
     let mut progress = SweepProgress {
-        done: 0,
         total: sweep.jobs.len(),
-        simulated: 0,
-        store_hits: 0,
-        remote: 0,
-        failed: 0,
+        ..SweepProgress::default()
     };
     for job in &sweep.jobs {
         match SampledBenchSpec::from_bench_job(job) {

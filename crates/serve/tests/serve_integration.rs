@@ -1,7 +1,8 @@
 //! End-to-end daemon tests over real sockets: submit a scaled sweep
 //! twice, watch the second submission come entirely from the persistent
-//! store, stream progress, fetch reports and traces, and shut down
-//! cleanly.
+//! store, stream progress, fetch reports and traces, drain distributed
+//! submissions with pull workers beside a store-root pool, and shut
+//! down cleanly.
 
 use condspec_serve::{ServeConfig, Server};
 use condspec_stats::Json;
@@ -93,8 +94,14 @@ fn await_submission(addr: SocketAddr, id: u64) -> Json {
 /// in-process, reports results, and exits once the daemon is idle with
 /// no active distributed runs. Returns the number of jobs it completed.
 fn drive_worker(addr: SocketAddr, owner: &str) -> u64 {
+    drain_jobs(addr, owner).len() as u64
+}
+
+/// [`drive_worker`], returning the `(submission, index)` of every job
+/// the daemon handed out, in order.
+fn drain_jobs(addr: SocketAddr, owner: &str) -> Vec<(u64, u64)> {
     let programs = std::sync::Arc::new(condspec_engine::ProgramCache::new());
-    let mut completed = 0u64;
+    let mut completed = Vec::new();
     loop {
         let (status, body) = post(
             addr,
@@ -156,8 +163,144 @@ fn drive_worker(addr: SocketAddr, owner: &str) -> u64 {
         assert_eq!(status, 200, "{ack}");
         let ack = Json::parse(&ack).expect("ack JSON");
         assert_eq!(ack.get("ok").and_then(Json::as_bool), Some(true));
-        completed += 1;
+        completed.push((submission, index));
     }
+}
+
+#[test]
+fn store_root_pools_and_pull_workers_share_one_lease_protocol() {
+    let runs_root = scratch("mixed-runs");
+    let store_root = scratch("mixed-store");
+    let server = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        runs_root: runs_root.clone(),
+        store_root: Some(store_root.clone()),
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let state = server.state();
+    let daemon = std::thread::spawn(move || server.run().expect("serve"));
+
+    let (status, body) = post(
+        addr,
+        "/api/sweeps",
+        "{\"sweep\":\"icache\",\"iters\":2,\"warmup\":1,\"distributed\":true}",
+    );
+    assert_eq!(status, 202, "{body}");
+    let id = Json::parse(&body)
+        .expect("receipt")
+        .get("submission")
+        .and_then(Json::as_u64)
+        .expect("id");
+
+    // A pool on the same store root — as `condspec worker --store-root`
+    // would — leases one job through its own store handle.
+    let sweep = condspec_engine::Sweep::by_name("icache")
+        .expect("icache")
+        .scaled(Some(2), Some(1));
+    let total = sweep.jobs.len() as u64;
+    let leased = 1u64;
+    let job = sweep.jobs[leased as usize].clone();
+    let pool = condspec_engine::ResultStore::open(&store_root);
+    assert_eq!(
+        pool.try_claim(&job.store_key(), "pool", Duration::from_secs(600))
+            .expect("pool lease"),
+        condspec_store::ClaimStatus::Acquired
+    );
+
+    // Meanwhile a pull worker drains the rest over HTTP. Once only the
+    // leased job is left, the pool files its result.
+    let handed = std::thread::scope(|scope| {
+        let worker = scope.spawn(|| drain_jobs(addr, "w"));
+        let deadline = Instant::now() + Duration::from_secs(300);
+        loop {
+            let (_, body) = get(addr, &format!("/api/sweeps/{id}"));
+            let doc = Json::parse(&body).expect("submission JSON");
+            if doc.get("done").and_then(Json::as_u64) == Some(total - 1) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "the pull worker stalled");
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        pool.insert_claimed(
+            &job.store_key(),
+            &job.hash_hex(),
+            &job.label(),
+            condspec_engine::hash::code_fingerprint(),
+            &job.execute(),
+            "pool",
+        )
+        .expect("pool insert");
+        worker.join().expect("pull worker")
+    });
+    assert!(
+        handed.iter().all(|&(_, index)| index != leased),
+        "the pull worker was handed the pool's leased job: {handed:?}"
+    );
+
+    // The daemon picked the pool's result up from the store.
+    let done = await_submission(addr, id);
+    assert_eq!(done.get("status").and_then(Json::as_str), Some("done"));
+    let count = |field: &str| done.get(field).and_then(Json::as_u64).expect(field);
+    assert_eq!(count("done"), total);
+    assert_eq!(
+        count("done"),
+        count("simulated") + count("store_hits") + count("failed")
+    );
+    assert_eq!(count("failed"), 0);
+    let run_dir = std::fs::read_dir(&runs_root)
+        .expect("runs root")
+        .map(|e| e.expect("entry").path())
+        .find(|p| p.is_dir())
+        .expect("run dir");
+    let manifest =
+        Json::parse(&std::fs::read_to_string(run_dir.join("manifest.json")).expect("manifest"))
+            .expect("manifest JSON");
+    let row = manifest
+        .get("jobs")
+        .and_then(Json::as_array)
+        .and_then(|rows| {
+            rows.iter()
+                .find(|r| r.get("hash").and_then(Json::as_str) == Some(job.hash_hex().as_str()))
+        })
+        .expect("the leased job's manifest row");
+    assert_eq!(row.get("owner").and_then(Json::as_str), Some("pool"));
+
+    // One lease protocol: every job was inserted exactly once across the
+    // daemon's handle and the pool's.
+    let daemon_store = state.store().expect("the daemon has a store");
+    assert_eq!(daemon_store.inserts() + pool.inserts(), total);
+    assert_eq!(daemon_store.duplicate_inserts(), 0);
+    assert_eq!(pool.duplicate_inserts(), 0);
+    assert_eq!(daemon_store.leases().expect("leases"), vec![]);
+
+    let (status, body) = post(addr, "/api/shutdown", "");
+    assert_eq!(status, 200, "{body}");
+    daemon.join().expect("daemon thread exits cleanly");
+
+    // Without a store there is nowhere to keep leases: a `--no-store`
+    // daemon refuses distributed submissions.
+    let bare = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        runs_root: runs_root.clone(),
+        store_root: None,
+    })
+    .expect("bind");
+    let bare_addr = bare.local_addr().expect("addr");
+    let bare_daemon = std::thread::spawn(move || bare.run().expect("serve"));
+    let (status, body) = post(
+        bare_addr,
+        "/api/sweeps",
+        "{\"sweep\":\"icache\",\"distributed\":true}",
+    );
+    assert_eq!(status, 409, "{body}");
+    post(bare_addr, "/api/shutdown", "");
+    bare_daemon.join().expect("daemon thread exits cleanly");
+
+    std::fs::remove_dir_all(&runs_root).ok();
+    std::fs::remove_dir_all(&store_root).ok();
 }
 
 #[test]

@@ -43,7 +43,7 @@
 //! leaves a lease over a present object, which every other worker
 //! resolves as a store hit and which `gc`/steal eventually clears.
 
-use crate::ResultStore;
+use crate::{tmp_path, ResultStore};
 use condspec_stats::Json;
 use std::fs;
 use std::io;
@@ -75,6 +75,20 @@ pub enum ClaimStatus {
         /// Lease age at the time of the check.
         age: Duration,
     },
+}
+
+/// Outcome of [`ResultStore::claim_or_load`]: what a claimant — an
+/// engine pool, or the serve daemon on a remote worker's behalf — does
+/// with one job.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Claim {
+    /// The result is already stored: the artifact and the owner that
+    /// inserted it (absent for entries written outside the protocol).
+    Stored(Json, Option<String>),
+    /// The caller now holds the lease and should simulate.
+    Held,
+    /// A live owner holds the lease; ask again later.
+    Busy,
 }
 
 /// One in-flight lease, as listed by [`ResultStore::leases`].
@@ -133,14 +147,6 @@ impl ResultStore {
         Self::keyed_path(self.claims_dir(), key)
     }
 
-    fn lease_tmp(&self, dir: &Path, key: &str) -> PathBuf {
-        dir.join(format!(
-            "{key}.{}.{}.tmp",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
-
     /// Attempts to claim the lease for `key` on behalf of `owner`.
     ///
     /// Returns [`ClaimStatus::Acquired`] when the lease was free or
@@ -164,7 +170,7 @@ impl ResultStore {
         // Bounded retries cover the benign races (a holder releasing
         // between our link failure and our stat of its lease).
         for _ in 0..4 {
-            let tmp = self.lease_tmp(dir, key);
+            let tmp = tmp_path(dir, key);
             fs::write(&tmp, lease_doc(key, owner, 0) + "\n")?;
             match fs::hard_link(&tmp, &path) {
                 Ok(()) => {
@@ -236,6 +242,36 @@ impl ResultStore {
         })
     }
 
+    /// The lease protocol for one job, in the order that makes it safe:
+    /// a stored result resolves the key; otherwise claim its lease
+    /// (stealing one older than `steal_after`) and check the store
+    /// again, because the previous holder may have inserted just before
+    /// releasing — in which case the new lease is dropped at once.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error from [`ResultStore::try_claim`].
+    pub fn claim_or_load(
+        &self,
+        key: &str,
+        owner: &str,
+        steal_after: Duration,
+    ) -> io::Result<Claim> {
+        if let Some((doc, origin)) = self.load_with_origin(key) {
+            return Ok(Claim::Stored(doc, origin));
+        }
+        if let ClaimStatus::Busy { .. } = self.try_claim(key, owner, steal_after)? {
+            return Ok(Claim::Busy);
+        }
+        match self.load_with_origin(key) {
+            Some((doc, origin)) => {
+                let _ = self.release(key, owner);
+                Ok(Claim::Stored(doc, origin))
+            }
+            None => Ok(Claim::Held),
+        }
+    }
+
     /// Renews `owner`'s lease on `key` by atomically rewriting it
     /// (refreshing mtime, incrementing the beat counter). Returns
     /// `false` — without touching the file — when the lease is absent
@@ -251,7 +287,7 @@ impl ResultStore {
             _ => return Ok(false),
         };
         let dir = path.parent().expect("lease paths always have a shard dir");
-        let tmp = self.lease_tmp(dir, key);
+        let tmp = tmp_path(dir, key);
         fs::write(&tmp, lease_doc(key, owner, beats + 1) + "\n")?;
         let renamed = fs::rename(&tmp, &path);
         if renamed.is_err() {
@@ -507,6 +543,24 @@ mod tests {
             .unwrap();
         assert_eq!(store.duplicate_inserts(), 1);
         assert!(store.claims_summary().ends_with("1 duplicate simulations"));
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn claim_or_load_resolves_holds_or_waits() {
+        let root = scratch("claim-or-load");
+        let store = ResultStore::open(&root);
+        assert_eq!(store.claim_or_load(KEY, "a", LONG).unwrap(), Claim::Held);
+        assert_eq!(store.claim_or_load(KEY, "b", LONG).unwrap(), Claim::Busy);
+        store
+            .insert_claimed(KEY, "j1", "gcc/origin", 7, &artifact(1), "a")
+            .unwrap();
+        assert_eq!(
+            store.claim_or_load(KEY, "b", LONG).unwrap(),
+            Claim::Stored(artifact(1), Some("a".into()))
+        );
+        assert_eq!(store.claims(), 1, "a stored key takes no lease");
+        assert_eq!(store.leases().unwrap(), vec![]);
         fs::remove_dir_all(&root).ok();
     }
 

@@ -54,7 +54,7 @@
 
 pub mod claims;
 
-pub use claims::{ClaimStatus, LeaseInfo, DEFAULT_STEAL_TIMEOUT, LEASE_SCHEMA};
+pub use claims::{Claim, ClaimStatus, LeaseInfo, DEFAULT_STEAL_TIMEOUT, LEASE_SCHEMA};
 
 use condspec_stats::{fnv1a64, hex16, Json, MetricsRegistry};
 use std::fs;
@@ -84,7 +84,6 @@ pub struct ResultStore {
     misses: AtomicU64,
     inserts: AtomicU64,
     corrupt: AtomicU64,
-    tmp_seq: AtomicU64,
     claims: AtomicU64,
     steals: AtomicU64,
     releases: AtomicU64,
@@ -186,7 +185,6 @@ impl ResultStore {
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
-            tmp_seq: AtomicU64::new(0),
             claims: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             releases: AtomicU64::new(0),
@@ -398,14 +396,7 @@ impl ResultStore {
             owner: owner.map(str::to_string),
             artifact: Some(artifact.clone()),
         };
-        // Unique temp name per (process, insert): two threads — or two
-        // processes — inserting the same key never scribble on the same
-        // temp file, and the final rename is atomic either way.
-        let tmp = dir.join(format!(
-            "{key}.{}.{}.tmp",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
+        let tmp = tmp_path(dir, key);
         fs::write(&tmp, envelope.render() + "\n")?;
         let renamed = fs::rename(&tmp, &path);
         if renamed.is_err() {
@@ -655,6 +646,19 @@ impl ResultStore {
         report.bytes_freed += bytes;
         Ok(report)
     }
+}
+
+/// A temp-file name no other writer can be using: `{key}.{pid}.{seq}.tmp`
+/// with `seq` counted per process, not per store handle, so two threads —
+/// through one handle or two on the same root — or two processes never
+/// scribble on the same temp file before their atomic rename or link.
+pub(crate) fn tmp_path(dir: &Path, key: &str) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    dir.join(format!(
+        "{key}.{}.{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ))
 }
 
 fn read_dir_sorted(dir: &Path) -> io::Result<Vec<PathBuf>> {

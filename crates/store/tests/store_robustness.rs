@@ -1,11 +1,13 @@
 //! Robustness properties of the persistent result store: concurrent
-//! same-key inserts, corruption tolerance, and deep verification.
+//! same-key inserts, lease races between handles, corruption tolerance,
+//! and deep verification.
 
 use condspec_stats::Json;
-use condspec_store::ResultStore;
+use condspec_store::{ClaimStatus, ResultStore};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("condspec-store-it-{tag}-{}", std::process::id()))
@@ -59,6 +61,57 @@ fn concurrent_inserts_of_one_key_converge_to_identical_bytes() {
     let stats = store.stats().expect("stats");
     assert_eq!(stats.entries, 1);
     assert_eq!(stats.stray_tmp, 0);
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn two_handles_on_one_root_never_share_a_lease() {
+    let root = scratch("lease-race");
+    fs::remove_dir_all(&root).ok();
+    // Two handles in one process, as when the serve daemon leases on
+    // behalf of remote workers beside an in-process pool: their temp
+    // files must never collide, or a claim fails spuriously or both
+    // owners believe they won.
+    let keys: Vec<String> = (0..300u64)
+        .map(|i| format!("{:016x}", i.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+        .collect();
+    let handles = [ResultStore::open(&root), ResultStore::open(&root)];
+    let start = Barrier::new(handles.len());
+    let outcomes: Vec<Vec<_>> = std::thread::scope(|scope| {
+        let racers: Vec<_> = handles
+            .iter()
+            .zip(["a", "b"])
+            .map(|(store, owner)| {
+                let (keys, start) = (&keys, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    keys.iter()
+                        .map(|key| store.try_claim(key, owner, Duration::from_secs(3600)))
+                        .collect()
+                })
+            })
+            .collect();
+        racers
+            .into_iter()
+            .map(|r| r.join().expect("racer"))
+            .collect()
+    });
+    for (i, key) in keys.iter().enumerate() {
+        let statuses: Vec<&ClaimStatus> = outcomes
+            .iter()
+            .map(|o| {
+                o[i].as_ref()
+                    .unwrap_or_else(|e| panic!("try_claim({key}) failed: {e}"))
+            })
+            .collect();
+        let winners = statuses
+            .iter()
+            .filter(|s| matches!(s, ClaimStatus::Acquired | ClaimStatus::Stolen))
+            .count();
+        assert_eq!(winners, 1, "key {key}: {statuses:?}");
+    }
+    assert_eq!(handles[0].claims() + handles[1].claims(), keys.len() as u64);
+    assert_eq!(handles[0].stats().expect("stats").stray_tmp, 0);
     fs::remove_dir_all(&root).ok();
 }
 
