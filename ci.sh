@@ -68,8 +68,8 @@ python3 ci/validate_trace.py "$trace_out"
 
 echo "==> timeseries smoke (condspec timeseries, two runs byte-identical)"
 ts_out="target/perf-smoke/timeseries.json"
-./target/release/condspec timeseries --name gcc --iters 2 --window 2000 --out "$ts_out"
-./target/release/condspec timeseries --name gcc --iters 2 --window 2000 --out "$ts_out.rerun"
+./target/release/condspec timeseries --name gcc --iters 2 --window 2000 --format json --out "$ts_out"
+./target/release/condspec timeseries --name gcc --iters 2 --window 2000 --format json --out "$ts_out.rerun"
 cmp "$ts_out" "$ts_out.rerun"
 rm "$ts_out.rerun"
 python3 - "$ts_out" <<'EOF'
@@ -242,6 +242,18 @@ cmp "$leaks_out" "$leaks_out.rerun" || {
 rm "$leaks_out.rerun"
 ./target/release/condspec leaks --all --out target/perf-smoke/leaks.json > /dev/null
 echo "leak smoke ok: $(grep 'security claim' "$leaks_out")"
+
+echo "==> observation digests (timeseries, trace and leaks outputs match ci/observation-digests.sha256)"
+# The smokes above only compare two runs of the same binary, which
+# cannot see a change that alters what the simulator observes. These
+# digests pin the outputs themselves: the timeseries series (JSON and
+# CSV), the Perfetto trace of a V1 round and the quick leak matrix. A
+# change that legitimately alters them regenerates the file with
+#     (cd target/perf-smoke && sha256sum timeseries.json timeseries.csv \
+#         trace.json leaks-quick.txt) > ci/observation-digests.sha256
+./target/release/condspec timeseries --name gcc --iters 2 --window 2000 --format csv \
+    --out target/perf-smoke/timeseries.csv
+(cd target/perf-smoke && sha256sum -c ../../ci/observation-digests.sha256)
 
 echo "==> distributed sweep smoke (2 workers race one store root, zero duplicates)"
 # Two `condspec worker` processes attach to one fresh store root and

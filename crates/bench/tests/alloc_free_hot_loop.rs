@@ -139,17 +139,15 @@ fn steady_state_rounds_do_not_allocate() {
         }
 
         // Observability exercised and switched back off before the
-        // measured window: with tracing, sampling and the taint oracle
-        // disabled the hot loop must pay only an `Option` branch per
-        // event site, never an allocation.
+        // measured window: with tracing and the taint oracle disabled
+        // the hot loop must pay only an `Option` branch per event site,
+        // never an allocation.
         sim.core_mut().enable_trace(256);
-        sim.core_mut().enable_sampler(10_000, 64);
         let secret_pa = sim.core().page_table().translate(gadget.secret_addr);
         sim.core_mut()
             .enable_taint(condspec_pipeline::TaintConfig::range(secret_pa, 64));
         round(&mut sim, &gadget);
         sim.core_mut().disable_trace();
-        sim.core_mut().disable_sampler();
         sim.core_mut().disable_taint();
 
         let before = ALLOCATIONS.load(Ordering::SeqCst);

@@ -5,7 +5,9 @@
 mod args;
 
 use args::{parse, Command, RunMode, SeriesFormat, StoreAction, TraceFormat, USAGE};
-use condspec::{leak_report_to_json, DefenseConfig, SimConfig, Simulator};
+use condspec::{
+    leak_report_to_json, run_timeseries, DefenseConfig, ExitReason, SimConfig, Simulator,
+};
 use condspec_attacks::{leak_probe, run_variant, traced_variant_round, AttackScenario};
 use condspec_stats::TextTable;
 use condspec_store::ResultStore;
@@ -167,9 +169,16 @@ fn run(cmd: Command) -> ExitCode {
             let defense = defense.unwrap_or(DefenseConfig::CacheHitTpbuf);
             let program = std::sync::Arc::new(build_program(&spec, iterations));
             let mut sim = Simulator::new(SimConfig::on_machine(defense, *machine));
-            sim.core_mut().enable_sampler(window, rows);
-            sim.run_to_halt(&program, 500_000_000);
-            let sampler = sim.core_mut().disable_sampler().expect("sampler enabled");
+            sim.load_program(program);
+            let budget = 500_000_000;
+            let (run, sampler) = run_timeseries(sim.core_mut(), window, rows, budget);
+            if run.exit != ExitReason::Halted {
+                eprintln!(
+                    "{name} did not halt within {budget} cycles ({:?})",
+                    run.exit
+                );
+                return ExitCode::FAILURE;
+            }
             let rendered = match format {
                 SeriesFormat::Json => {
                     let doc = condspec_stats::Json::object(vec![

@@ -71,4 +71,6 @@ pub use tpbuf::TpBuf;
 
 // Re-export the commonly paired pipeline types so downstream crates can
 // depend on `condspec` alone for most uses.
-pub use condspec_pipeline::{ExitReason, FunctionalExit, FunctionalResult, RunResult};
+pub use condspec_pipeline::{
+    run_timeseries, ExitReason, FunctionalExit, FunctionalResult, RunResult,
+};

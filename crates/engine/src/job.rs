@@ -13,8 +13,8 @@
 use crate::cache::WorkerContext;
 use crate::hash::{fnv1a64, hex16};
 use condspec::{
-    leak_report_to_json, plan_one_window, run_window, DefenseConfig, DependenceKinds, LruPolicy,
-    MachineConfig, SampledOptions, SimConfig, Simulator,
+    leak_report_to_json, plan_one_window, run_timeseries, run_window, DefenseConfig,
+    DependenceKinds, ExitReason, LruPolicy, MachineConfig, SampledOptions, SimConfig, Simulator,
 };
 use condspec_attacks::{leak_probe, run_variant, AttackScenario};
 use condspec_stats::Json;
@@ -463,13 +463,13 @@ impl JobSpec {
         Json::object(doc)
     }
 
-    /// Runs a [`Workload::Bench`] job with the core's windowed
-    /// time-series sampler enabled on the measured run, and returns the
-    /// sampled series (`condspec-timeseries-v1`) alongside the job
-    /// identity. The measurement protocol is identical to
-    /// [`JobSpec::execute`] — warm-up, stats reset, measured run — so
-    /// the series is deterministic: two calls with the same spec render
-    /// byte-identical documents.
+    /// Runs a [`Workload::Bench`] job with its measured run driven by
+    /// [`run_timeseries`], and returns the sampled series
+    /// (`condspec-timeseries-v1`) alongside the job identity. The
+    /// measurement protocol is identical to [`JobSpec::execute`] —
+    /// warm-up, stats reset, measured run — so the series is
+    /// deterministic: two calls with the same spec render byte-identical
+    /// documents.
     ///
     /// `window` is the sample window in cycles; at most `max_rows`
     /// windows are kept (earliest first).
@@ -491,18 +491,23 @@ impl JobSpec {
         let warmup_program = std::sync::Arc::new(build_program(&spec, *warmup));
         let measured = std::sync::Arc::new(build_program(&spec, *iterations));
         let mut sim = Simulator::new(self.sim_config());
-        sim.core_mut().enable_sampler(window, max_rows);
-        // run_job resets statistics between warm-up and measurement,
-        // which restarts the sampler's series at window zero.
-        let report = sim.run_job(Some(&warmup_program), &measured, self.budget);
-        let series = sim
-            .core_mut()
-            .disable_sampler()
-            .expect("sampler was enabled");
+        // `Simulator::run_job`'s protocol, with the measured run sampled
+        // from window zero.
+        sim.run_to_halt(&warmup_program, self.budget);
+        sim.reset_stats();
+        sim.load_program(measured);
+        let (run, series) = run_timeseries(sim.core_mut(), window, max_rows, self.budget);
+        assert_eq!(
+            run.exit,
+            ExitReason::Halted,
+            "program did not halt within {} cycles under {}",
+            self.budget,
+            self.defense
+        );
         Json::object(vec![
             ("job", Json::from(self.hash_hex())),
             ("key", Json::from(self.canonical_key())),
-            ("report", report.to_json()),
+            ("report", sim.report().to_json()),
             ("timeseries", series.to_json()),
         ])
     }

@@ -27,10 +27,8 @@ use crate::lsq::Lsq;
 use crate::policy::{
     BlockFilter, DispatchInfo, InstClass, MemAccessQuery, MemDecision, NullPolicy, SecurityPolicy,
 };
-use crate::regfile::RegFile;
+use crate::regfile::{PhysReg, RegFile};
 use crate::rob::{CommitClass, Rob, RobState};
-use crate::sampler::TimeSeriesSampler;
-use crate::snapshot::CoreSnapshot;
 use crate::stats::PipelineStats;
 use crate::taint::{LeakReport, TaintConfig, TaintOracle};
 use crate::trace::{LeakChannel, SquashCause, TraceBuffer, TraceEvent};
@@ -40,6 +38,9 @@ use condspec_mem::{page_number, CacheHierarchy, LruUpdate, MainMemory, PageTable
 use condspec_stats::{Histogram, MetricsRegistry};
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+mod functional;
+mod snapshot;
 
 /// Core (pipeline) configuration. Cache and predictor configuration live
 /// in their own crates; the `condspec` crate combines everything into
@@ -297,12 +298,9 @@ pub struct Core {
     last_commit_cycle: u64,
     stats: PipelineStats,
     trace: Option<TraceBuffer>,
-    /// Windowed time-series sampler, off (`None`) by default; boxed so
-    /// the disabled case costs the hot loop one pointer-sized branch.
-    sampler: Option<Box<TimeSeriesSampler>>,
-    /// Taint-tracking leak oracle, off (`None`) by default; boxed for the
-    /// same reason — with the oracle off the hot loop pays one `Option`
-    /// branch per hook and allocates nothing.
+    /// Taint-tracking leak oracle, off (`None`) by default; boxed so the
+    /// disabled case costs the hot loop one pointer-sized `Option` branch
+    /// per hook and allocates nothing.
     taint: Option<Box<TaintOracle>>,
 
     // Per-cycle scratch buffers. Each is cleared and refilled where it is
@@ -427,7 +425,6 @@ impl Core {
             last_commit_cycle: 0,
             stats: PipelineStats::default(),
             trace: None,
-            sampler: None,
             taint: None,
         }
     }
@@ -485,7 +482,7 @@ impl Core {
         // resolve as squash-surviving (their instructions never commit and
         // the microarchitectural state persists across the reload).
         if let Some(oracle) = self.taint.as_deref_mut() {
-            oracle.on_program_load();
+            oracle.on_program_load(self.trace.as_mut());
         }
         for seg in program.data() {
             let paddr = self.page_table.translate(seg.base);
@@ -497,7 +494,6 @@ impl Core {
         if let Some(oracle) = self.taint.as_deref_mut() {
             oracle.mark_config_ranges();
         }
-        self.drain_leak_events();
         self.program = Some(program);
     }
 
@@ -565,7 +561,6 @@ impl Core {
         self.last_commit_cycle = 0;
         self.stats = PipelineStats::default();
         self.trace = None;
-        self.sampler = None;
         self.taint = None;
         self.program = None;
         self.shared_code.clear();
@@ -588,8 +583,19 @@ impl Core {
     /// the idle window, so drivers that call [`Core::step`] directly see
     /// the same machine at every cycle.
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
+        self.run_until_committed(u64::MAX, max_cycles)
+    }
+
+    /// Runs until halt, the cycle budget, the watchdog, **or** until
+    /// `target` more instructions have committed — the detailed-window
+    /// primitive of sampled simulation, and [`Core::run`]'s loop (with an
+    /// unreachable target). The commit count may overshoot the target by
+    /// up to `commit_width - 1` (the check sits between full cycles),
+    /// which the caller reads back from [`RunResult::committed`].
+    pub fn run_until_committed(&mut self, target: u64, max_cycles: u64) -> RunResult {
         let start_cycle = self.cycle;
         let start_committed = self.stats.committed;
+        let goal = start_committed.saturating_add(target);
         let limit = start_cycle.saturating_add(max_cycles);
         let mut exit = ExitReason::CycleLimit;
         // One signature computation per step: the post-step fingerprint
@@ -601,6 +607,10 @@ impl Core {
         while self.cycle < limit {
             if self.halted {
                 exit = ExitReason::Halted;
+                break;
+            }
+            if self.stats.committed >= goal {
+                exit = ExitReason::CommitLimit;
                 break;
             }
             if self.cycle - self.last_commit_cycle > STUCK_THRESHOLD {
@@ -617,6 +627,8 @@ impl Core {
         }
         if self.halted {
             exit = ExitReason::Halted;
+        } else if exit == ExitReason::CycleLimit && self.stats.committed >= goal {
+            exit = ExitReason::CommitLimit;
         }
         RunResult {
             exit,
@@ -717,13 +729,6 @@ impl Core {
         if let Some(at) = self.events.next_due(self.cycle, target) {
             target = target.min(at);
         }
-        // The sampler cuts windows at exact statistics-cycle boundaries;
-        // clamp the jump so `stats.cycles` lands on the boundary instead
-        // of leaping past it. The next iteration resumes skipping.
-        if let Some(sampler) = &self.sampler {
-            let remaining = sampler.next_boundary().saturating_sub(self.stats.cycles);
-            target = target.min(self.cycle + remaining);
-        }
         let skipped = target.saturating_sub(self.cycle);
         if skipped == 0 {
             return;
@@ -736,7 +741,6 @@ impl Core {
         self.stats.cycles += skipped;
         self.stats.rob_occupancy_sum += skipped * self.rob.len() as u64;
         self.stats.iq_occupancy_sum += skipped * self.iq.occupancy() as u64;
-        self.sample_tick();
     }
 
     /// Advances the machine by one cycle.
@@ -751,37 +755,6 @@ impl Core {
         self.stats.cycles += 1;
         self.stats.rob_occupancy_sum += self.rob.len() as u64;
         self.stats.iq_occupancy_sum += self.iq.occupancy() as u64;
-        self.sample_tick();
-        self.drain_leak_events();
-    }
-
-    /// Moves leak events resolved this step by the oracle into the trace
-    /// buffer. One `Option` branch when the oracle is off or idle.
-    #[inline]
-    fn drain_leak_events(&mut self) {
-        let events = match self.taint.as_deref_mut() {
-            Some(oracle) if oracle.has_events() => oracle.take_events(),
-            _ => return,
-        };
-        if self.trace.is_some() {
-            for event in events.iter().copied() {
-                self.trace(event);
-            }
-        }
-        if let Some(oracle) = self.taint.as_deref_mut() {
-            oracle.restore_event_buffer(events);
-        }
-    }
-
-    /// Cuts a sample window if the cycle that just ended reached the
-    /// sampler's boundary. One `Option` branch when sampling is off.
-    #[inline]
-    fn sample_tick(&mut self) {
-        if let Some(sampler) = self.sampler.as_deref_mut() {
-            if self.stats.cycles >= sampler.next_boundary() {
-                sampler.cut(&self.stats);
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -829,7 +802,7 @@ impl Core {
             if let Some(oracle) = self.taint.as_deref_mut() {
                 // Pending leaks of a committing instruction were
                 // architectural flows: resolve with survived_squash=false.
-                oracle.on_commit(entry.seq);
+                oracle.on_commit(entry.seq, self.trace.as_mut());
             }
             if let Some((_, _, old)) = entry.dest {
                 self.regfile.release(old);
@@ -1235,22 +1208,13 @@ impl Core {
             }
             Inst::Flush { offset, .. } => {
                 let vaddr = val(0, &self.regfile).wrapping_add(offset as u64);
-                let addr_tainted = self
-                    .taint
-                    .as_deref()
-                    .is_some_and(|o| o.srcs_tainted(&src_pregs));
-                let tlb_misses_before = addr_tainted.then(|| self.tlb.stats().misses());
-                let (paddr, _) = self.tlb.translate(vaddr, &self.page_table);
-                if let Some(before) = tlb_misses_before {
-                    let tlb_filled = self.tlb.stats().misses() > before;
-                    let cycle = self.cycle;
-                    let oracle = self.taint.as_deref_mut().expect("tainted implies oracle");
-                    if tlb_filled {
-                        oracle.record_leak(seq, cycle, LeakChannel::TlbFill, paddr, false);
-                    }
+                let (paddr, _, addr_tainted) = self.translate_mem(seq, src_pregs[0], vaddr);
+                if addr_tainted {
                     // A tainted-address flush evicts a secret-selected
                     // line; the eviction applies at commit, so a squash
                     // drops the record.
+                    let cycle = self.cycle;
+                    let oracle = self.taint.as_deref_mut().expect("tainted implies oracle");
                     oracle.record_leak(seq, cycle, LeakChannel::CacheFill, paddr, true);
                 }
                 let e = self.rob.cold_mut(seq).expect("in flight");
@@ -1267,12 +1231,7 @@ impl Core {
                 // issued store no longer holds younger accesses
                 // security-dependent.
                 let vaddr = val(0, &self.regfile).wrapping_add(offset as u64);
-                let addr_tainted = self
-                    .taint
-                    .as_deref()
-                    .is_some_and(|o| src_pregs[0].is_some_and(|p| o.reg(p)));
-                let tlb_misses_before = addr_tainted.then(|| self.tlb.stats().misses());
-                let (paddr, _) = self.tlb.translate(vaddr, &self.page_table);
+                let (paddr, _, addr_tainted) = self.translate_mem(seq, src_pregs[0], vaddr);
                 {
                     let e = self.rob.cold_mut(seq).expect("in flight");
                     e.mem_vaddr = Some(vaddr);
@@ -1283,17 +1242,10 @@ impl Core {
                 if let Some(oracle) = self.taint.as_deref_mut() {
                     oracle.on_store_addr(seq, vaddr, size.bytes());
                 }
-                if let Some(before) = tlb_misses_before {
-                    let tlb_filled = self.tlb.stats().misses() > before;
-                    let records_pages = self.policy.records_page_addresses();
+                if addr_tainted && self.policy.records_page_addresses() {
                     let cycle = self.cycle;
                     let oracle = self.taint.as_deref_mut().expect("tainted implies oracle");
-                    if tlb_filled {
-                        oracle.record_leak(seq, cycle, LeakChannel::TlbFill, paddr, false);
-                    }
-                    if records_pages {
-                        oracle.record_leak(seq, cycle, LeakChannel::TpbufInsert, paddr, false);
-                    }
+                    oracle.record_leak(seq, cycle, LeakChannel::TpbufInsert, paddr, false);
                 }
                 let data_preg = src_pregs[1].expect("stores have a data operand");
                 if self.regfile.is_ready(data_preg) {
@@ -1356,12 +1308,8 @@ impl Core {
                     self.blocked_until[slot] = self.cycle + self.config.block_replay_penalty;
                     return true;
                 }
-                let addr_tainted = self
-                    .taint
-                    .as_deref()
-                    .is_some_and(|o| src_pregs[0].is_some_and(|p| o.reg(p)));
-                let tlb_misses_before = addr_tainted.then(|| self.tlb.stats().misses());
-                let (paddr, tlb_latency) = self.tlb.translate(vaddr, &self.page_table);
+                let (paddr, tlb_latency, addr_tainted) =
+                    self.translate_mem(seq, src_pregs[0], vaddr);
                 let l1_hit = self.hierarchy.probe_l1d(paddr);
                 {
                     let e = self.rob.cold_mut(seq).expect("in flight");
@@ -1374,17 +1322,10 @@ impl Core {
                 // paper's blind spot: even a load the filter then blocks
                 // has already planted a TLB entry (and, under the TPBuf
                 // policy, an S-Pattern page).
-                if let Some(before) = tlb_misses_before {
-                    let tlb_filled = self.tlb.stats().misses() > before;
-                    let records_pages = self.policy.records_page_addresses();
+                if addr_tainted && self.policy.records_page_addresses() {
                     let cycle = self.cycle;
                     let oracle = self.taint.as_deref_mut().expect("tainted implies oracle");
-                    if tlb_filled {
-                        oracle.record_leak(seq, cycle, LeakChannel::TlbFill, paddr, false);
-                    }
-                    if records_pages {
-                        oracle.record_leak(seq, cycle, LeakChannel::TpbufInsert, paddr, false);
-                    }
+                    oracle.record_leak(seq, cycle, LeakChannel::TpbufInsert, paddr, false);
                 }
                 if suspect {
                     self.stats.suspect_l1.record(l1_hit);
@@ -1508,6 +1449,26 @@ impl Core {
         }
     }
 
+    /// Translates a memory instruction's address through the TLB and
+    /// returns `(paddr, latency, addr_tainted)`. The address is tainted
+    /// when the oracle is on and the base register (operand 0 of every
+    /// memory instruction) is; a tainted translation that walks the page
+    /// table plants a TLB entry, recorded here as a leak.
+    fn translate_mem(&mut self, seq: u64, base: Option<PhysReg>, vaddr: u64) -> (u64, u64, bool) {
+        let addr_tainted = self
+            .taint
+            .as_deref()
+            .is_some_and(|o| base.is_some_and(|p| o.reg(p)));
+        let tlb_misses_before = addr_tainted.then(|| self.tlb.stats().misses());
+        let (paddr, latency) = self.tlb.translate(vaddr, &self.page_table);
+        if tlb_misses_before.is_some_and(|before| self.tlb.stats().misses() > before) {
+            let cycle = self.cycle;
+            let oracle = self.taint.as_deref_mut().expect("tainted implies oracle");
+            oracle.record_leak(seq, cycle, LeakChannel::TlbFill, paddr, false);
+        }
+        (paddr, latency, addr_tainted)
+    }
+
     /// Schedules a 1-cycle-latency result: the value becomes visible to
     /// consumers (and the instruction completes) at the next cycle, giving
     /// correct back-to-back timing for dependent single-cycle operations.
@@ -1627,7 +1588,7 @@ impl Core {
             // Pending leaks of the squashed instructions resolve now:
             // cache fills and TLB entries survive the squash, TPBuf
             // entries were just released with their LSQ slots.
-            oracle.on_squash(keep_seq);
+            oracle.on_squash(keep_seq, self.trace.as_mut());
         }
         // Squashed sequence numbers are recycled (the next dispatch reuses
         // them), keeping ROB sequence numbers contiguous. Completion
@@ -1662,7 +1623,6 @@ impl Core {
         self.fetch_pc = redirect_pc;
         self.fetch_wedged = false;
         self.fetch_stall_until = self.cycle + self.config.redirect_penalty;
-        self.drain_leak_events();
     }
 
     // ------------------------------------------------------------------
@@ -1915,50 +1875,23 @@ impl Core {
         self.trace.as_ref()
     }
 
-    /// Turns on windowed time-series sampling: every `window` cycles
-    /// the statistics deltas are cut into a [`SampleRow`], up to
-    /// `max_rows` rows. Re-enabling replaces the series. While sampling
-    /// is on, idle fast-forward jumps are clamped to window boundaries,
-    /// so the sampled series is identical to stepping every cycle.
-    ///
-    /// [`SampleRow`]: crate::sampler::SampleRow
-    pub fn enable_sampler(&mut self, window: u64, max_rows: usize) {
-        self.sampler = Some(Box::new(TimeSeriesSampler::new(
-            window,
-            max_rows,
-            &self.stats,
-        )));
-    }
-
-    /// Turns sampling off and returns the series (with a final partial
-    /// window flushed), if any.
-    pub fn disable_sampler(&mut self) -> Option<TimeSeriesSampler> {
-        let mut sampler = self.sampler.take()?;
-        sampler.flush(&self.stats);
-        Some(*sampler)
-    }
-
-    /// The current sampler, if sampling is enabled.
-    pub fn sampler(&self) -> Option<&TimeSeriesSampler> {
-        self.sampler.as_deref()
-    }
-
     /// Turns on the taint-tracking leak oracle. `config` names the
     /// physical-address byte ranges that hold secrets; from then on the
     /// oracle tracks their flow through registers and memory and records
     /// a leak every time a tainted value reaches microarchitecturally
     /// persistent state (cache fill, LRU update, TLB fill, TPBuf
-    /// insertion). Re-enabling replaces the oracle.
+    /// insertion). Each leak is written into the trace buffer, when
+    /// tracing is on, as a [`TraceEvent::Leak`] the moment its
+    /// instruction commits or is squashed. Re-enabling replaces the
+    /// oracle.
     pub fn enable_taint(&mut self, config: TaintConfig) {
-        let mut oracle = Box::new(TaintOracle::new(self.config.phys_regs, config));
-        oracle.mark_config_ranges();
-        self.taint = Some(oracle);
+        self.taint = Some(Box::new(TaintOracle::new(self.config.phys_regs, config)));
     }
 
-    /// Turns the leak oracle off and returns it (with any still-pending
-    /// leak events drained into the trace buffer first), if any.
+    /// Turns the leak oracle off and returns it, if any. Leaks still
+    /// pending (their instruction neither committed nor squashed) stay
+    /// uncounted and never reach the trace.
     pub fn disable_taint(&mut self) -> Option<Box<TaintOracle>> {
-        self.drain_leak_events();
         self.taint.take()
     }
 
@@ -1970,363 +1903,6 @@ impl Core {
     /// The leak totals accumulated so far, if taint tracking is enabled.
     pub fn leak_report(&self) -> Option<LeakReport> {
         self.taint.as_deref().map(|oracle| oracle.report())
-    }
-
-    // ------------------------------------------------------------------
-    // Checkpoint / functional execution
-    // ------------------------------------------------------------------
-
-    /// Whether the pipeline holds no in-flight work: empty ROB and fetch
-    /// queue, no pending store data and no dispatched fences. At such a
-    /// boundary the IQ, LSQ, security dependence matrix and TPBuf are
-    /// empty too (each tracks a subset of the in-flight instructions),
-    /// so the machine state collapses to a [`CoreSnapshot`].
-    pub fn is_quiesced(&self) -> bool {
-        self.rob.is_empty()
-            && self.fetch_queue.is_empty()
-            && self.pending_store_data.is_empty()
-            && self.fence_seqs.is_empty()
-    }
-
-    /// Drains the pipeline to the nearest architectural instruction
-    /// boundary: every uncommitted instruction is squashed and fetch is
-    /// redirected to the next architectural PC. The discarded work simply
-    /// re-executes when the core resumes, so quiescing never changes
-    /// architectural results — only timing (and the squash statistics).
-    ///
-    /// Afterwards [`Core::is_quiesced`] holds and any pending fetch
-    /// stall is cleared, making the state canonical for
-    /// [`Core::capture_snapshot`].
-    pub fn quiesce(&mut self) {
-        // The squash walk expresses "discard everything younger than
-        // keep_seq"; discarding the head itself needs keep = head-1,
-        // which cannot be expressed when the head is seq 0. Step until
-        // the head commits (it is the oldest instruction, so it always
-        // makes progress), moving the head seq past 0.
-        while matches!(self.rob.head_hot(), Some(h) if h.seq == 0) {
-            self.step();
-        }
-        if let Some(head) = self.rob.head_hot().copied() {
-            // The head has not committed: it is the next architectural
-            // instruction. Squash it and everything younger.
-            self.squash_from(head.seq - 1, head.pc, SquashCause::Quiesce);
-        } else if let Some(front_pc) = self.fetch_queue.front().map(|f| f.pc) {
-            // Nothing dispatched, but decode holds fetched instructions:
-            // rewind fetch to the queue front and restore the RAS to the
-            // oldest snapshot (which predates every speculative RAS
-            // effect of the queued instructions).
-            if let Some(snap) = self
-                .fetch_queue
-                .iter()
-                .find_map(|f| f.ras_snapshot.as_deref())
-            {
-                self.frontend.restore_ras(snap);
-            }
-            for fetched in self.fetch_queue.drain(..) {
-                if let Some(snap) = fetched.ras_snapshot {
-                    self.ras_box_pool.push(snap);
-                }
-            }
-            self.fq_unresolved_branches = 0;
-            self.fetch_pc = front_pc;
-            self.fetch_wedged = false;
-        }
-        self.fetch_stall_until = self.cycle;
-        debug_assert!(self.is_quiesced(), "quiesce left in-flight state");
-    }
-
-    /// Captures the complete state of a quiesced core (see
-    /// [`CoreSnapshot`] for the exact inventory). Call [`Core::quiesce`]
-    /// first if the pipeline may hold in-flight work.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the pipeline is not quiesced.
-    pub fn capture_snapshot(&self) -> Result<CoreSnapshot, String> {
-        if !self.is_quiesced() {
-            return Err(format!(
-                "cannot checkpoint a busy pipeline ({} ROB entries, {} fetched instructions); \
-                 call quiesce() first",
-                self.rob.len(),
-                self.fetch_queue.len()
-            ));
-        }
-        debug_assert_eq!(self.iq.occupancy(), 0, "IQ entry without a ROB entry");
-        let (tlb_entries, tlb_tick) = self.tlb.snapshot_entries();
-        Ok(CoreSnapshot {
-            cycle: self.cycle,
-            fetch_pc: self.fetch_pc,
-            next_seq: self.next_seq,
-            next_stamp: self.next_stamp,
-            halted: self.halted,
-            arch_regs: self.regfile.arch_values(),
-            memory_pages: self
-                .memory
-                .snapshot_pages()
-                .into_iter()
-                .map(|(pn, bytes)| (pn, bytes.to_vec()))
-                .collect(),
-            page_table: self.page_table.snapshot_mappings(),
-            tlb_entries,
-            tlb_tick,
-            hierarchy: self.hierarchy.snapshot(),
-            frontend: self.frontend.snapshot(),
-        })
-    }
-
-    /// Restores a captured snapshot into this core, which must have the
-    /// same configuration as the capturing one. The caller supplies the
-    /// program (snapshots store state, not code) and a freshly built
-    /// security policy, exactly as [`Core::reset_cold`] does.
-    ///
-    /// The program's data segments are *not* re-copied into memory —
-    /// the snapshot's pages already hold their current contents — which
-    /// is why this must not go through [`Core::load_program`]. Shared
-    /// code mappings are not part of a snapshot; map them again
-    /// afterwards if the continuation needs them.
-    ///
-    /// After this call the core is observationally identical to the
-    /// capturing core at the capture point: continuing either one in
-    /// detailed mode produces identical statistics and state.
-    pub fn restore_snapshot(
-        &mut self,
-        snap: &CoreSnapshot,
-        program: Arc<Program>,
-        policy: Box<dyn SecurityPolicy>,
-    ) {
-        self.reset_cold(policy);
-        for (pn, bytes) in &snap.memory_pages {
-            self.memory.restore_page(*pn, bytes);
-        }
-        for &(vpn, ppn) in &snap.page_table {
-            self.page_table.map(vpn, ppn);
-        }
-        self.tlb.restore_entries(&snap.tlb_entries, snap.tlb_tick);
-        self.hierarchy.restore(&snap.hierarchy);
-        self.frontend.restore(&snap.frontend);
-        for (i, &v) in snap.arch_regs.iter().enumerate().skip(1) {
-            self.regfile
-                .write_arch(Reg::from_index(i).expect("i < 32"), v);
-        }
-        self.cycle = snap.cycle;
-        self.fetch_pc = snap.fetch_pc;
-        self.next_seq = snap.next_seq;
-        self.next_stamp = snap.next_stamp;
-        self.halted = snap.halted;
-        self.fetch_wedged = false;
-        self.fetch_stall_until = snap.cycle;
-        self.last_commit_cycle = snap.cycle;
-        self.program = Some(program);
-    }
-
-    /// Runs until halt, the cycle budget, the watchdog, **or** until
-    /// `target` more instructions have committed — the detailed-window
-    /// primitive of sampled simulation. Identical to [`Core::run`]
-    /// except for the extra exit condition; the commit count may
-    /// overshoot the target by up to `commit_width - 1` (the check sits
-    /// between full cycles), which the caller reads back from
-    /// [`RunResult::committed`].
-    pub fn run_until_committed(&mut self, target: u64, max_cycles: u64) -> RunResult {
-        let start_cycle = self.cycle;
-        let start_committed = self.stats.committed;
-        let goal = start_committed.saturating_add(target);
-        let limit = start_cycle.saturating_add(max_cycles);
-        let mut exit = ExitReason::CycleLimit;
-        let mut before = self.activity_signature();
-        while self.cycle < limit {
-            if self.halted {
-                exit = ExitReason::Halted;
-                break;
-            }
-            if self.stats.committed >= goal {
-                exit = ExitReason::CommitLimit;
-                break;
-            }
-            if self.cycle - self.last_commit_cycle > STUCK_THRESHOLD {
-                exit = ExitReason::Stuck;
-                break;
-            }
-            self.step();
-            let after = self.activity_signature();
-            if after == before {
-                self.fast_forward_idle(limit);
-            } else {
-                before = after;
-            }
-        }
-        if self.halted {
-            exit = ExitReason::Halted;
-        } else if exit == ExitReason::CycleLimit && self.stats.committed >= goal {
-            exit = ExitReason::CommitLimit;
-        }
-        RunResult {
-            exit,
-            cycles: self.cycle - start_cycle,
-            committed: self.stats.committed - start_committed,
-        }
-    }
-
-    /// Retires up to `max_insts` instructions *functionally*: pure
-    /// architectural interpretation with no pipeline, cache, TLB,
-    /// predictor or statistics modelling — the fast-forward engine of
-    /// sampled simulation (tens of Minst/s against the detailed model's
-    /// hundreds of Kinst/s).
-    ///
-    /// Functional stepping touches exactly four pieces of state: the
-    /// architectural registers, memory (stores apply immediately —
-    /// retirement is in-order), the fetch PC and the halted flag.
-    /// Everything else — the cycle clock, all statistics, caches, TLB
-    /// and predictors — is left untouched, so a checkpoint captured
-    /// after a functional fast-forward carries cold (or pre-existing)
-    /// microarchitectural state by construction.
-    ///
-    /// `Flush` retires as a no-op (there is no cache model to flush);
-    /// `Fence` and `Nop` likewise. Loads and stores translate through
-    /// the page table directly (no TLB).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the pipeline is not quiesced (functional and
-    /// detailed execution cannot interleave mid-flight) or no program is
-    /// loaded.
-    pub fn run_functional(&mut self, max_insts: u64) -> Result<FunctionalResult, String> {
-        self.functional_loop(max_insts, |_, _| {})
-    }
-
-    /// [`Core::run_functional`] with a per-retirement hook `(pc, inst)`,
-    /// for differential testing against the detailed pipeline's commit
-    /// stream. The hook makes this the *reference* architectural trace:
-    /// functional execution has no wrong path.
-    pub fn run_functional_traced(
-        &mut self,
-        max_insts: u64,
-        on_retire: impl FnMut(u64, &Inst),
-    ) -> Result<FunctionalResult, String> {
-        self.functional_loop(max_insts, on_retire)
-    }
-
-    fn functional_loop(
-        &mut self,
-        max_insts: u64,
-        mut on_retire: impl FnMut(u64, &Inst),
-    ) -> Result<FunctionalResult, String> {
-        if !self.is_quiesced() {
-            return Err("cannot run functionally with in-flight detailed state; \
-                 call quiesce() first"
-                .to_string());
-        }
-        let Some(program) = self.program.clone() else {
-            return Err("no program loaded".to_string());
-        };
-        if self.halted {
-            return Ok(FunctionalResult {
-                exit: FunctionalExit::Halted,
-                retired: 0,
-            });
-        }
-        // Interpret against a local register array; the rename fabric is
-        // synced once at exit. Index 0 is never written (r0).
-        let mut regs = self.regfile.arch_values();
-        let mut pc = self.fetch_pc;
-        let mut retired = 0u64;
-        let mut exit = FunctionalExit::InstLimit;
-        while retired < max_insts {
-            let inst = match program.fetch(pc) {
-                Some(inst) => inst,
-                None => match self.shared_code.iter().find_map(|p| p.fetch(pc)) {
-                    Some(inst) => inst,
-                    None => {
-                        exit = FunctionalExit::FetchFault;
-                        break;
-                    }
-                },
-            };
-            let mut next = pc + INST_BYTES;
-            match inst {
-                Inst::Alu { op, rd, rs1, rs2 } => {
-                    let v = op.eval(regs[rs1.index()], regs[rs2.index()]);
-                    if !rd.is_zero() {
-                        regs[rd.index()] = v;
-                    }
-                }
-                Inst::AluImm { op, rd, rs1, imm } => {
-                    let v = op.eval(regs[rs1.index()], imm as u64);
-                    if !rd.is_zero() {
-                        regs[rd.index()] = v;
-                    }
-                }
-                Inst::LoadImm { rd, imm } => {
-                    if !rd.is_zero() {
-                        regs[rd.index()] = imm;
-                    }
-                }
-                Inst::Load {
-                    rd,
-                    base,
-                    offset,
-                    size,
-                } => {
-                    let vaddr = regs[base.index()].wrapping_add(offset as u64);
-                    let paddr = self.page_table.translate(vaddr);
-                    let v = self.memory.read(paddr, size.bytes());
-                    if !rd.is_zero() {
-                        regs[rd.index()] = v;
-                    }
-                }
-                Inst::Store {
-                    src,
-                    base,
-                    offset,
-                    size,
-                } => {
-                    let vaddr = regs[base.index()].wrapping_add(offset as u64);
-                    let paddr = self.page_table.translate(vaddr);
-                    self.memory.write(paddr, regs[src.index()], size.bytes());
-                }
-                Inst::Branch {
-                    cond,
-                    rs1,
-                    rs2,
-                    target,
-                } => {
-                    if cond.eval(regs[rs1.index()], regs[rs2.index()]) {
-                        next = target;
-                    }
-                }
-                Inst::Jump { target } => {
-                    next = target;
-                }
-                Inst::Call { target, link } => {
-                    if !link.is_zero() {
-                        regs[link.index()] = pc + INST_BYTES;
-                    }
-                    next = target;
-                }
-                Inst::Ret { link } => {
-                    next = regs[link.index()];
-                }
-                Inst::JumpIndirect { base, offset } => {
-                    next = regs[base.index()].wrapping_add(offset as u64);
-                }
-                Inst::Flush { .. } | Inst::Fence | Inst::Nop => {}
-                Inst::Halt => {
-                    retired += 1;
-                    on_retire(pc, &inst);
-                    self.halted = true;
-                    exit = FunctionalExit::Halted;
-                    break;
-                }
-            }
-            retired += 1;
-            on_retire(pc, &inst);
-            pc = next;
-        }
-        for (i, &v) in regs.iter().enumerate().skip(1) {
-            self.regfile
-                .write_arch(Reg::from_index(i).expect("i < 32"), v);
-        }
-        self.fetch_pc = pc;
-        Ok(FunctionalResult { exit, retired })
     }
 
     // ------------------------------------------------------------------
@@ -2354,24 +1930,21 @@ impl Core {
     }
 
     /// Resets pipeline, hierarchy, TLB, predictor and policy statistics
-    /// (after warm-up). Does not touch microarchitectural state. An
-    /// active time-series sampler restarts at window zero.
+    /// (after warm-up). Does not touch microarchitectural state.
     pub fn reset_stats(&mut self) {
         self.stats = PipelineStats::default();
         self.hierarchy.reset_stats();
         self.tlb.reset_stats();
         self.frontend.reset_stats();
         self.policy.reset_stats();
-        if let Some(sampler) = self.sampler.as_deref_mut() {
-            sampler.restart(&self.stats);
-        }
     }
 
     /// Fills `registry` with the core's named metrics: every
     /// [`PipelineStats`] counter under `core.*`, derived gauges (IPC,
     /// blocked rate, mean occupancies), the installed policy's counters
-    /// under `policy.*`, and — when sampling is enabled — a per-window
-    /// IPC histogram. Existing entries with other names are preserved.
+    /// under `policy.*`, and — when the leak oracle is on — its leak
+    /// counts under `leak.*`. Existing entries with other names are
+    /// preserved.
     pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
         let s = &self.stats;
         registry.set_counter("core.cycles", s.cycles);
@@ -2403,9 +1976,6 @@ impl Core {
             "policy.s_pattern_mismatch_rate",
             p.s_pattern_mismatch_rate(),
         );
-        if let Some(sampler) = self.sampler.as_deref() {
-            registry.set_histogram("core.window_ipc_x100", sampler.ipc_histogram());
-        }
         if let Some(oracle) = self.taint.as_deref() {
             let l = oracle.report();
             registry.set_counter("leak.cache_fills", l.cache_fills);

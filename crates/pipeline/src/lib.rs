@@ -58,7 +58,7 @@ pub use policy::{
     BlockFilter, DispatchInfo, InstClass, IqEntryView, MemAccessQuery, MemDecision, NullPolicy,
     PolicyStats, SecurityPolicy,
 };
-pub use sampler::{SampleRow, TimeSeriesSampler, TIMESERIES_SCHEMA};
+pub use sampler::{run_timeseries, SampleRow, TimeSeriesSampler, TIMESERIES_SCHEMA};
 pub use snapshot::CoreSnapshot;
 pub use stats::PipelineStats;
 pub use taint::{LeakReport, TaintConfig, TaintOracle};

@@ -1,23 +1,25 @@
 //! Windowed time-series sampling of pipeline statistics.
 //!
-//! A [`TimeSeriesSampler`] cuts [`PipelineStats`](crate::PipelineStats)
-//! into fixed-width windows of simulated cycles and records the *deltas*
-//! per window — IPC, blocked rate, ROB/IQ occupancy, suspect hit rate —
-//! so Fig-5-style curves can be plotted over time instead of as one
-//! end-of-run aggregate. Sampling is off by default and enabled with
-//! [`crate::Core::enable_sampler`]; when off the hot loop pays a single
-//! `Option` branch per cycle.
+//! A [`TimeSeriesSampler`] cuts [`PipelineStats`] into fixed-width
+//! windows of simulated cycles and records the *deltas* per window —
+//! IPC, blocked rate, ROB/IQ occupancy, suspect hit rate — so
+//! Fig-5-style curves can be plotted over time instead of as one
+//! end-of-run aggregate.
 //!
-//! Windows are measured in *statistics* cycles (`PipelineStats::cycles`),
-//! not absolute core cycles, so a [`crate::Core::reset_stats`] after
-//! warm-up restarts the series at window zero. The core clamps its
-//! idle-cycle fast-forward to the next window boundary, so every window
-//! is cut at exactly the boundary cycle and sampled output is identical
-//! whether the idle cycles were stepped or skipped — and therefore
-//! bit-identical across two runs of the same job.
+//! The sampler lives outside the core: [`run_timeseries`] drives
+//! [`Core::run`] in window-sized chunks and cuts a row each time a chunk
+//! returns, so the cycle loop carries no sampling hook at all. Windows
+//! are measured in *statistics* cycles (`PipelineStats::cycles`), not
+//! absolute core cycles, so a series started after a post-warm-up
+//! [`Core::reset_stats`] begins at window zero. `Core::run` stops exactly
+//! on its cycle limit, clamping idle fast-forward jumps to it, so every
+//! window is cut at exactly the boundary cycle and sampled output is
+//! identical whether the idle cycles were stepped or skipped — and
+//! therefore bit-identical across two runs of the same job.
 
+use crate::core::{Core, ExitReason, RunResult};
 use crate::stats::PipelineStats;
-use condspec_stats::{Histogram, Json};
+use condspec_stats::Json;
 
 /// The statistics deltas of one sample window.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -142,7 +144,7 @@ impl TimeSeriesSampler {
     }
 
     /// The statistics-cycle count at which the current window must be
-    /// cut. The core clamps idle fast-forward jumps to this boundary.
+    /// cut; [`run_timeseries`] ends each run chunk here.
     pub fn next_boundary(&self) -> u64 {
         self.next_boundary
     }
@@ -158,7 +160,7 @@ impl TimeSeriesSampler {
     }
 
     /// Cuts the current window against `stats` and starts the next one.
-    /// The core calls this whenever `stats.cycles` reaches
+    /// [`run_timeseries`] calls this whenever `stats.cycles` reaches
     /// [`TimeSeriesSampler::next_boundary`].
     pub fn cut(&mut self, stats: &PipelineStats) {
         self.push_delta(stats);
@@ -172,16 +174,6 @@ impl TimeSeriesSampler {
         if stats.cycles > self.baseline.cycles {
             self.cut(stats);
         }
-    }
-
-    /// Discards all rows and re-bases the series on `baseline` (the core
-    /// calls this from [`crate::Core::reset_stats`] so a post-warm-up
-    /// reset restarts the series at window zero).
-    pub fn restart(&mut self, baseline: &PipelineStats) {
-        self.rows.clear();
-        self.dropped = 0;
-        self.baseline = *baseline;
-        self.next_boundary = baseline.cycles + self.window;
     }
 
     fn push_delta(&mut self, stats: &PipelineStats) {
@@ -254,23 +246,97 @@ impl TimeSeriesSampler {
         }
         out
     }
+}
 
-    /// A histogram of per-window IPC (scaled ×100 into integer buckets),
-    /// for the metrics registry.
-    pub fn ipc_histogram(&self) -> Histogram {
-        // 40 buckets of 0.25 IPC cover 0..10 IPC; wider machines land in
-        // the overflow bucket, which the histogram reports separately.
-        let mut h = Histogram::new(25, 40);
-        for r in &self.rows {
-            h.record((r.ipc() * 100.0).round() as u64);
+/// Runs `core` for at most `max_cycles` cycles like [`Core::run`] and
+/// samples the run into `window`-cycle rows, keeping at most `max_rows`.
+///
+/// The core runs in chunks that end on window boundaries; a row is cut
+/// whenever a chunk reaches one, and a final short row when the run
+/// halts (or gets stuck) mid-window. The returned [`RunResult`] is the
+/// one a single `core.run(max_cycles)` call would give.
+///
+/// # Panics
+///
+/// Panics if `window` or `max_rows` is zero.
+pub fn run_timeseries(
+    core: &mut Core,
+    window: u64,
+    max_rows: usize,
+    max_cycles: u64,
+) -> (RunResult, TimeSeriesSampler) {
+    let mut sampler = TimeSeriesSampler::new(window, max_rows, core.stats());
+    let start_cycle = core.cycle();
+    let start_committed = core.stats().committed;
+    let limit = start_cycle.saturating_add(max_cycles);
+    let exit = loop {
+        let to_boundary = sampler.next_boundary - core.stats().cycles;
+        let chunk = core.run(to_boundary.min(limit - core.cycle()));
+        if core.stats().cycles >= sampler.next_boundary {
+            sampler.cut(core.stats());
         }
-        h
-    }
+        if chunk.exit != ExitReason::CycleLimit || core.cycle() >= limit {
+            break chunk.exit;
+        }
+    };
+    sampler.flush(core.stats());
+    let result = RunResult {
+        exit,
+        cycles: core.cycle() - start_cycle,
+        committed: core.stats().committed - start_committed,
+    };
+    (result, sampler)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use condspec_isa::{AluOp, BranchCond, ProgramBuilder, Reg};
+    use std::sync::Arc;
+
+    /// A loop of dependent cold loads: long idle stretches the core
+    /// fast-forwards over, so window boundaries land inside skipped
+    /// spans.
+    fn cold_loop_core() -> Core {
+        let mut b = ProgramBuilder::new(0x1000);
+        b.li(Reg::R1, 0x40000);
+        b.li(Reg::R2, 0);
+        b.li(Reg::R3, 12);
+        b.label("top").expect("fresh label");
+        b.load(Reg::R4, Reg::R1, 0);
+        // The loaded zero chains each load's address to the previous one.
+        b.alu(AluOp::Add, Reg::R1, Reg::R1, Reg::R4);
+        b.alu_imm(AluOp::Add, Reg::R1, Reg::R1, 4096);
+        b.alu_imm(AluOp::Add, Reg::R2, Reg::R2, 1);
+        b.branch_to(BranchCond::LtU, Reg::R2, Reg::R3, "top");
+        b.halt();
+        let mut core = Core::with_defaults();
+        core.load_program(Arc::new(b.build().expect("assembles")));
+        core
+    }
+
+    #[test]
+    fn series_run_matches_a_single_run_and_tiles_it() {
+        for (max_cycles, exit) in [
+            (1_000_000, ExitReason::Halted),
+            (1_500, ExitReason::CycleLimit),
+        ] {
+            let mut whole = cold_loop_core();
+            let expected = whole.run(max_cycles);
+            assert_eq!(expected.exit, exit);
+            let mut sampled = cold_loop_core();
+            let (result, series) = run_timeseries(&mut sampled, 37, 1 << 10, max_cycles);
+            assert_eq!(result, expected, "budget {max_cycles}");
+            assert_eq!(sampled.stats(), whole.stats(), "budget {max_cycles}");
+            let rows = series.rows();
+            assert_eq!(series.dropped(), 0);
+            assert!(rows[..rows.len() - 1].iter().all(|r| r.cycles == 37));
+            let tiled: u64 = rows.iter().map(|r| r.cycles).sum();
+            assert_eq!(tiled, whole.stats().cycles, "rows tile the run");
+            let committed: u64 = rows.iter().map(|r| r.committed).sum();
+            assert_eq!(committed, whole.stats().committed);
+        }
+    }
 
     fn stats_at(cycles: u64, committed: u64) -> PipelineStats {
         PipelineStats {
@@ -328,15 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn restart_clears_series() {
-        let mut s = TimeSeriesSampler::new(10, 4, &stats_at(0, 0));
-        s.cut(&stats_at(10, 5));
-        s.restart(&PipelineStats::default());
-        assert!(s.rows().is_empty());
-        assert_eq!(s.next_boundary(), 10);
-    }
-
-    #[test]
     fn exports_are_deterministic_and_consistent() {
         let mut s = TimeSeriesSampler::new(50, 8, &stats_at(0, 0));
         s.cut(&stats_at(50, 120));
@@ -354,7 +411,5 @@ mod tests {
         let csv = s.to_csv();
         assert_eq!(csv.lines().count(), 3, "header + 2 rows");
         assert!(csv.lines().next().unwrap().starts_with("start,cycles"));
-        let h = s.ipc_histogram();
-        assert_eq!(h.count(), 2);
     }
 }

@@ -30,6 +30,12 @@
 //! the entry. Pending deferred-LRU updates are dropped on squash: the
 //! touch they would have applied at commit never happens.
 //!
+//! The core hands its trace buffer to the resolving hooks
+//! ([`TaintOracle::on_commit`], [`TaintOracle::on_squash`],
+//! [`TaintOracle::on_program_load`]), and each resolved leak is written
+//! into it as a [`TraceEvent::Leak`] on the spot, so leaks sit in the same
+//! event stream as the pipeline events that caused them.
+//!
 //! Soundness caveats (see DESIGN.md §12): taint is byte-granular in
 //! memory but whole-register in the register file, and store-to-load
 //! forwarding is *conservative* — a clean forwarded store overlapping
@@ -39,7 +45,7 @@
 //! state) are not observed.
 
 use crate::regfile::PhysReg;
-use crate::trace::{LeakChannel, TraceEvent};
+use crate::trace::{LeakChannel, TraceBuffer, TraceEvent};
 use std::collections::HashSet;
 
 /// Declares which physical byte ranges hold secrets.
@@ -167,9 +173,6 @@ pub struct TaintOracle {
     stores: Vec<StoreRec>,
     /// Leaks awaiting commit/squash resolution.
     pending: Vec<PendingLeak>,
-    /// Resolved [`TraceEvent::Leak`]s, drained into the trace buffer by
-    /// the core.
-    events: Vec<TraceEvent>,
     report: LeakReport,
 }
 
@@ -182,7 +185,6 @@ impl TaintOracle {
             mem_taint: HashSet::new(),
             stores: Vec::new(),
             pending: Vec::new(),
-            events: Vec::new(),
             report: LeakReport::default(),
             config,
         };
@@ -217,17 +219,17 @@ impl TaintOracle {
         }
     }
 
-    /// Program (re)load: unresolved pending leaks are flushed as
-    /// squash-surviving (their instructions will never commit, and the
-    /// planted microarchitectural state persists across the load), then
-    /// register and in-flight-store taint is cleared. The caller clears
-    /// the bytes each data segment rewrites and then calls
+    /// Program (re)load: unresolved pending leaks are flushed into
+    /// `trace` as squash-surviving (their instructions will never commit,
+    /// and the planted microarchitectural state persists across the
+    /// load), then register and in-flight-store taint is cleared. The
+    /// caller clears the bytes each data segment rewrites and then calls
     /// [`TaintOracle::mark_config_ranges`].
-    pub fn on_program_load(&mut self) {
+    pub fn on_program_load(&mut self, mut trace: Option<&mut TraceBuffer>) {
         let pending = std::mem::take(&mut self.pending);
         for p in pending {
             if !p.applies_at_commit {
-                self.resolve(p, true);
+                self.resolve(p, true, trace.as_deref_mut());
             }
         }
         self.reg_taint.iter_mut().for_each(|t| *t = false);
@@ -351,8 +353,8 @@ impl TaintOracle {
     }
 
     /// `seq` committed: its pending leaks were architectural
-    /// (`survived_squash = false`).
-    pub fn on_commit(&mut self, seq: u64) {
+    /// (`survived_squash = false`) and resolve into `trace`.
+    pub fn on_commit(&mut self, seq: u64, mut trace: Option<&mut TraceBuffer>) {
         if self.pending.is_empty() {
             return;
         }
@@ -360,7 +362,7 @@ impl TaintOracle {
         while i < self.pending.len() {
             if self.pending[i].seq == seq {
                 let p = self.pending.remove(i);
-                self.resolve(p, false);
+                self.resolve(p, false, trace.as_deref_mut());
             } else {
                 i += 1;
             }
@@ -370,15 +372,16 @@ impl TaintOracle {
     /// Everything younger than `keep_seq` was squashed: cache and TLB
     /// leaks survive (the planted state outlives the wrong path), TPBuf
     /// insertions are rolled back with their entries, and commit-applied
-    /// records are dropped (their state change never happened).
-    pub fn on_squash(&mut self, keep_seq: u64) {
+    /// records are dropped (their state change never happened). The
+    /// resolved leaks go into `trace`.
+    pub fn on_squash(&mut self, keep_seq: u64, mut trace: Option<&mut TraceBuffer>) {
         if !self.pending.is_empty() {
             let mut i = 0;
             while i < self.pending.len() {
                 if self.pending[i].seq > keep_seq {
                     let p = self.pending.remove(i);
                     if !p.applies_at_commit {
-                        self.resolve(p, true);
+                        self.resolve(p, true, trace.as_deref_mut());
                     }
                 } else {
                     i += 1;
@@ -388,38 +391,21 @@ impl TaintOracle {
         self.stores.retain(|s| s.seq <= keep_seq);
     }
 
-    fn resolve(&mut self, p: PendingLeak, squashed: bool) {
+    fn resolve(&mut self, p: PendingLeak, squashed: bool, trace: Option<&mut TraceBuffer>) {
         // A squash releases TPBuf entries, so that channel's state never
         // survives; the cache and TLB channels are exactly what a squash
         // cannot roll back.
         let survived = squashed && p.channel != LeakChannel::TpbufInsert;
         self.report.count(p.channel, survived);
-        self.events.push(TraceEvent::Leak {
-            cycle: p.cycle,
-            seq: p.seq,
-            channel: p.channel,
-            addr: p.addr,
-            survived_squash: survived,
-        });
-    }
-
-    /// Whether resolved leak events are waiting to be drained.
-    #[inline]
-    pub fn has_events(&self) -> bool {
-        !self.events.is_empty()
-    }
-
-    /// Takes the resolved-event buffer (the core pushes the events into
-    /// its trace and hands the emptied buffer back via
-    /// [`TaintOracle::restore_event_buffer`] to keep its capacity).
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Returns the (cleared) event buffer after a drain.
-    pub fn restore_event_buffer(&mut self, mut events: Vec<TraceEvent>) {
-        events.clear();
-        self.events = events;
+        if let Some(trace) = trace {
+            trace.push(TraceEvent::Leak {
+                cycle: p.cycle,
+                seq: p.seq,
+                channel: p.channel,
+                addr: p.addr,
+                survived_squash: survived,
+            });
+        }
     }
 }
 
@@ -476,18 +462,19 @@ mod tests {
     #[test]
     fn commit_resolution_counts_architectural_leaks() {
         let mut o = oracle();
+        let mut trace = TraceBuffer::new(8);
         o.record_leak(4, 100, LeakChannel::CacheFill, 0xabc0, false);
-        o.on_commit(4);
+        o.on_commit(4, Some(&mut trace));
         let r = o.report();
         assert_eq!(r.cache_fills, 1);
         assert_eq!(r.cache_fills_survived, 0);
-        let events = o.take_events();
+        let events: Vec<_> = trace.events().collect();
         assert!(matches!(
-            events[0],
-            TraceEvent::Leak {
+            events[..],
+            [TraceEvent::Leak {
                 survived_squash: false,
                 ..
-            }
+            }]
         ));
     }
 
@@ -498,7 +485,7 @@ mod tests {
         o.record_leak(11, 6, LeakChannel::TlbFill, 0x20, false);
         o.record_leak(12, 7, LeakChannel::TpbufInsert, 0x30, false);
         o.record_leak(13, 8, LeakChannel::CacheLru, 0x40, true); // deferred
-        o.on_squash(9);
+        o.on_squash(9, None);
         let r = o.report();
         assert_eq!(r.cache_fills_survived, 1);
         assert_eq!(r.tlb_fills_survived, 1);
@@ -514,9 +501,9 @@ mod tests {
     fn squash_keeps_older_pending_leaks() {
         let mut o = oracle();
         o.record_leak(3, 1, LeakChannel::CacheFill, 0x10, false);
-        o.on_squash(5);
+        o.on_squash(5, None);
         assert_eq!(o.report().total(), 0, "older leak still pending");
-        o.on_commit(3);
+        o.on_commit(3, None);
         assert_eq!(o.report().cache_fills, 1);
     }
 
@@ -525,7 +512,7 @@ mod tests {
         let mut o = oracle();
         o.record_leak(2, 9, LeakChannel::CacheFill, 0x99, false);
         o.set_dest(Some(8), true);
-        o.on_program_load();
+        o.on_program_load(None);
         assert_eq!(o.report().cache_fills_survived, 1);
         assert!(!o.reg(8), "register taint cleared");
         // Data segment overwrite scrubs, re-marking restores the secret.

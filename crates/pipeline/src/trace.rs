@@ -8,6 +8,14 @@
 //! the defense itself — e.g. watching exactly which speculative load gets
 //! blocked, by which hazard filter, and when it replays.
 //!
+//! The buffer is the core's one event stream. With the taint oracle on
+//! ([`crate::Core::enable_taint`]) it also carries the security verdict:
+//! the oracle writes each [`TraceEvent::Leak`] into it when the leaking
+//! instruction commits or is squashed, right after the `Commit` or
+//! `Squash` event that resolved it (or when a program reload abandons
+//! it). Leaks carry their execute cycle, so they are the one kind whose
+//! `cycle` may precede the event before it.
+//!
 //! Every event carries the simulated cycle it happened on — never
 //! wall-clock time — so traces of the same program are bit-identical
 //! across runs and hosts.

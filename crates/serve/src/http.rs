@@ -6,7 +6,11 @@
 //!
 //! The subset is intentionally strict about what it accepts: a
 //! malformed request gets a `400` and a closed socket, never a panic —
-//! the daemon shares a process with running sweeps.
+//! the daemon shares a process with running sweeps. Both directions
+//! size their buffers from bytes actually received, never from what the
+//! peer claims: every request, status and header line is read through a
+//! [`MAX_HEADER`]-byte window, and response bodies and chunks through
+//! [`Read::take`] with a length check.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -15,7 +19,7 @@ use std::net::TcpStream;
 /// documents; anything larger is a client error).
 pub const MAX_BODY: usize = 1 << 20;
 
-/// Maximum accepted header block size.
+/// Maximum accepted header block size, and so of any one header line.
 const MAX_HEADER: usize = 64 * 1024;
 
 /// One parsed request.
@@ -50,8 +54,7 @@ impl Request {
 /// those with a 400.
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let line = read_line_bounded(&mut reader)?;
     let mut parts = line.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => {
@@ -64,8 +67,7 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     let mut content_length = 0usize;
     let mut header_bytes = line.len();
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
+        let header = read_line_bounded(&mut reader)?;
         header_bytes += header.len();
         if header_bytes > MAX_HEADER {
             return Err(bad("header block too large"));
@@ -144,6 +146,32 @@ fn percent_decode(text: &str) -> String {
 
 fn bad(message: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+/// Reads one line (terminator included; empty at EOF) of at most
+/// [`MAX_HEADER`] bytes. A longer line is an error rather than a buffer
+/// that grows for as long as the peer keeps sending.
+fn read_line_bounded(reader: &mut impl BufRead) -> io::Result<String> {
+    let mut line = String::new();
+    reader.take(MAX_HEADER as u64).read_line(&mut line)?;
+    if line.len() == MAX_HEADER && !line.ends_with('\n') {
+        return Err(bad("line too long"));
+    }
+    Ok(line)
+}
+
+/// Appends exactly `len` bytes from `reader` to `out`, growing `out` only
+/// as bytes arrive; a peer that sends fewer is an error.
+fn read_exactly(reader: &mut impl Read, len: usize, out: &mut Vec<u8>) -> io::Result<()> {
+    let expected = out
+        .len()
+        .checked_add(len)
+        .ok_or_else(|| bad("length overflow"))?;
+    reader.take(len as u64).read_to_end(out)?;
+    if out.len() != expected {
+        return Err(bad("truncated body"));
+    }
+    Ok(())
 }
 
 fn status_text(status: u16) -> &'static str {
@@ -247,8 +275,7 @@ pub fn client_request(
     stream.flush()?;
 
     let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
+    let status_line = read_line_bounded(&mut reader)?;
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
@@ -258,8 +285,8 @@ pub fn client_request(
     let mut content_length: Option<usize> = None;
     let mut chunked = false;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let header = read_line_bounded(&mut reader)?;
+        if header.is_empty() {
             return Err(bad("truncated response headers"));
         }
         let header = header.trim_end();
@@ -280,8 +307,8 @@ pub fn client_request(
     let body = if chunked {
         let mut out = Vec::new();
         loop {
-            let mut size_line = String::new();
-            if reader.read_line(&mut size_line)? == 0 {
+            let size_line = read_line_bounded(&mut reader)?;
+            if size_line.is_empty() {
                 break;
             }
             let size =
@@ -289,15 +316,15 @@ pub fn client_request(
             if size == 0 {
                 break;
             }
-            let mut chunk = vec![0u8; size + 2];
-            reader.read_exact(&mut chunk)?;
-            chunk.truncate(size);
-            out.extend_from_slice(&chunk);
+            // The chunk data plus its trailing CRLF, which is dropped.
+            let framed = size.checked_add(2).ok_or_else(|| bad("bad chunk size"))?;
+            read_exactly(&mut reader, framed, &mut out)?;
+            out.truncate(out.len() - 2);
         }
         out
     } else if let Some(len) = content_length {
-        let mut out = vec![0u8; len];
-        reader.read_exact(&mut out)?;
+        let mut out = Vec::new();
+        read_exactly(&mut reader, len, &mut out)?;
         out
     } else {
         let mut out = Vec::new();
@@ -321,6 +348,123 @@ pub fn client_post(addr: &str, path: &str, body: &str) -> io::Result<(u16, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+    use std::thread;
+
+    /// Serves `response` to one `client_get` over a local socket and
+    /// returns what the client made of it. With `hold_open` the server
+    /// keeps the connection open until the client returns, so a client
+    /// that waits for a line end that never comes fails by its read
+    /// timeout rather than at EOF.
+    fn client_sees(response: Vec<u8>, hold_open: bool) -> io::Result<(u16, String)> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let (done, wait) = mpsc::channel::<()>();
+        let server = thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(&stream);
+            let mut line = String::new();
+            while reader.read_line(&mut line).expect("request head") > 2 {
+                line.clear();
+            }
+            (&stream).write_all(&response).expect("response");
+            if hold_open {
+                let _ = wait.recv();
+            }
+        });
+        let result = client_get(&addr, "/");
+        drop(done);
+        server.join().expect("server thread");
+        result
+    }
+
+    /// Sends `request` to [`read_request`] over a local socket, holding
+    /// the connection open until the parse returns.
+    fn server_sees(request: Vec<u8>) -> io::Result<Request> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (done, wait) = mpsc::channel::<()>();
+        let client = thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(&request).expect("request");
+            let _ = wait.recv();
+        });
+        let (mut stream, _) = listener.accept().expect("accept");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("timeout");
+        let result = read_request(&mut stream);
+        drop(done);
+        client.join().expect("client thread");
+        result
+    }
+
+    fn assert_invalid<T: std::fmt::Debug>(result: io::Result<T>) {
+        match result {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+            Ok(v) => panic!("hostile input accepted: {v:?}"),
+        }
+    }
+
+    #[test]
+    fn client_reads_content_length_and_chunked_bodies() {
+        let sized = client_sees(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello".to_vec(),
+            true,
+        );
+        assert_eq!(sized.expect("sized body"), (200, "hello".to_string()));
+        let chunked = client_sees(
+            b"HTTP/1.1 202 Accepted\r\nTransfer-Encoding: chunked\r\n\r\n\
+              3\r\nabc\r\n2\r\nde\r\n0\r\n\r\n"
+                .to_vec(),
+            true,
+        );
+        assert_eq!(chunked.expect("chunked body"), (202, "abcde".to_string()));
+    }
+
+    #[test]
+    fn client_rejects_a_content_length_beyond_the_body() {
+        assert_invalid(client_sees(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nshort".to_vec(),
+            false,
+        ));
+    }
+
+    #[test]
+    fn client_rejects_an_overflowing_chunk_size() {
+        assert_invalid(client_sees(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\nabc"
+                .to_vec(),
+            true,
+        ));
+        assert_invalid(client_sees(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nfffffffffffffff0\r\nabc"
+                .to_vec(),
+            false,
+        ));
+    }
+
+    #[test]
+    fn client_rejects_an_unterminated_header_line() {
+        let mut response = b"HTTP/1.1 200 OK\r\nX-Padding: ".to_vec();
+        response.resize(response.len() + MAX_HEADER, b'a');
+        assert_invalid(client_sees(response, true));
+    }
+
+    #[test]
+    fn server_rejects_an_unterminated_request_line() {
+        let mut request = b"GET /".to_vec();
+        request.resize(MAX_HEADER + 1, b'a');
+        assert_invalid(server_sees(request));
+    }
+
+    #[test]
+    fn server_rejects_an_unterminated_header_line() {
+        let mut request = b"GET / HTTP/1.1\r\nX-Padding: ".to_vec();
+        request.resize(request.len() + MAX_HEADER, b'a');
+        assert_invalid(server_sees(request));
+    }
 
     #[test]
     fn percent_decoding_handles_the_common_cases() {
