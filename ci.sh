@@ -207,6 +207,8 @@ cmp <(tail -n +2 "$sampled_out") <(tail -n +2 "$sampled_out.rerun") || {
     exit 1
 }
 rm "$sampled_out.rerun"
+# The body alone is pinned by the observation digests below.
+tail -n +2 "$sampled_out" > target/perf-smoke/sampled-run.body
 ./target/release/condspec store stats --root "$sampled_store" \
     > target/perf-smoke/sampled-store-stats.txt
 grep -q "4 checkpoints" target/perf-smoke/sampled-store-stats.txt || {
@@ -243,14 +245,16 @@ rm "$leaks_out.rerun"
 ./target/release/condspec leaks --all --out target/perf-smoke/leaks.json > /dev/null
 echo "leak smoke ok: $(grep 'security claim' "$leaks_out")"
 
-echo "==> observation digests (timeseries, trace and leaks outputs match ci/observation-digests.sha256)"
+echo "==> observation digests (timeseries, trace, sampled-run and leaks outputs match ci/observation-digests.sha256)"
 # The smokes above only compare two runs of the same binary, which
 # cannot see a change that alters what the simulator observes. These
 # digests pin the outputs themselves: the timeseries series (JSON and
-# CSV), the Perfetto trace of a V1 round and the quick leak matrix. A
-# change that legitimately alters them regenerates the file with
+# CSV), the Perfetto trace of a V1 round, the quick leak matrix and the
+# sampled run's window table and stitched estimate (its output below
+# the wall-time header). A change that legitimately alters them
+# regenerates the file with
 #     (cd target/perf-smoke && sha256sum timeseries.json timeseries.csv \
-#         trace.json leaks-quick.txt) > ci/observation-digests.sha256
+#         trace.json leaks-quick.txt sampled-run.body) > ci/observation-digests.sha256
 ./target/release/condspec timeseries --name gcc --iters 2 --window 2000 --format csv \
     --out target/perf-smoke/timeseries.csv
 (cd target/perf-smoke && sha256sum -c ../../ci/observation-digests.sha256)

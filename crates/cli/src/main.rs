@@ -394,17 +394,13 @@ fn run(cmd: Command) -> ExitCode {
                             store.root().display()
                         );
                     }
-                    let mut windows = Vec::with_capacity(plan.windows.len());
-                    for w in &plan.windows {
-                        match condspec::run_window(&mut sim, w, &program, &opts) {
-                            Ok(measured) => windows.push(measured),
-                            Err(e) => {
-                                eprintln!("sampled run failed: {e}");
-                                return ExitCode::FAILURE;
-                            }
+                    let sampled = match plan.run(&mut sim, &program, &opts) {
+                        Ok(sampled) => sampled,
+                        Err(e) => {
+                            eprintln!("sampled run failed: {e}");
+                            return ExitCode::FAILURE;
                         }
-                    }
-                    let stitched = condspec::stitch_reports(plan.total_insts, &windows);
+                    };
                     let wall = started.elapsed().as_secs_f64();
                     let mut t = TextTable::with_columns(&[
                         "window",
@@ -414,7 +410,7 @@ fn run(cmd: Command) -> ExitCode {
                         "IPC",
                         "L1D hit",
                     ]);
-                    for w in &windows {
+                    for w in &sampled.windows {
                         t.row(vec![
                             w.index.to_string(),
                             w.start_inst.to_string(),
@@ -428,10 +424,11 @@ fn run(cmd: Command) -> ExitCode {
                         "{file}: sampled run under {} — {} instructions, {} windows of \
                          {window} insts in {wall:.3}s",
                         defense.label(),
-                        plan.total_insts,
-                        windows.len()
+                        sampled.total_insts,
+                        sampled.windows.len()
                     );
                     println!("{t}");
+                    let stitched = &sampled.report;
                     println!(
                         "stitched estimate: {} cycles, IPC {:.2}, L1D hit {:.1}%, blocked {:.1}%",
                         stitched.cycles,

@@ -63,8 +63,9 @@ pub use config::{DefenseConfig, MachineConfig, SimConfig};
 pub use defense::{ConditionalSpeculation, DependenceKinds, FilterMode, LruPolicy};
 pub use matrix::SecurityDependenceMatrix;
 pub use sampled::{
-    plan_one_window, plan_segments, run_sampled, run_window, stitch_reports, SampledOptions,
-    SampledPlan, SampledReport, WindowPlan, WindowReport, DEFAULT_CHECKPOINTS, DEFAULT_WINDOW,
+    capture_windows, count_insts, plan_one_window, plan_segments, run_sampled, run_window,
+    stitch_reports, SampledOptions, SampledPlan, SampledReport, WindowPlan, WindowReport,
+    DEFAULT_CHECKPOINTS, DEFAULT_WINDOW,
 };
 pub use sim::{leak_report_from_json, leak_report_to_json, Report, Simulator};
 pub use tpbuf::TpBuf;

@@ -7,11 +7,11 @@
 //! A sampled run of a program that retires `T` instructions with `N`
 //! checkpoints and window size `M`:
 //!
-//! 1. **Plan** ([`SampledPlan::build`]): one functional pass counts `T`,
-//!    a second functional pass captures a [`Checkpoint`] at the start of
-//!    each segment. Segment `i` covers instructions
-//!    `[⌊iT/N⌋, ⌊(i+1)T/N⌋)` — segment lengths differ by at most one
-//!    instruction and sum exactly to `T`.
+//! 1. **Plan** ([`SampledPlan::build`]): one functional pass
+//!    ([`count_insts`]) counts `T`, a second ([`capture_windows`])
+//!    captures a [`Checkpoint`] at the start of each segment. Segment
+//!    `i` covers instructions `[⌊iT/N⌋, ⌊(i+1)T/N⌋)` — segment lengths
+//!    differ by at most one instruction and sum exactly to `T`.
 //! 2. **Measure** ([`run_window`]): each checkpoint restores into a
 //!    detailed simulator, optionally runs a detailed warm-up of `W`
 //!    instructions (functional fast-forward leaves caches and predictors
@@ -106,9 +106,10 @@ pub struct SampledPlan {
 
 impl SampledPlan {
     /// Builds the plan with two functional passes over `program` on
-    /// `sim` (which is cold-reset before each pass). When the program
-    /// retires fewer instructions than `opts.checkpoints`, the plan
-    /// holds one window per instruction instead.
+    /// `sim`: [`count_insts`] fixes the whole-program count, then
+    /// [`capture_windows`] captures every segment's checkpoint. When the
+    /// program retires fewer instructions than `opts.checkpoints`, the
+    /// plan holds one window per instruction instead.
     ///
     /// # Errors
     ///
@@ -121,62 +122,131 @@ impl SampledPlan {
         workload: &str,
         opts: &SampledOptions,
     ) -> Result<SampledPlan, String> {
-        if opts.checkpoints == 0 {
-            return Err("a sampled run needs at least one checkpoint".to_string());
-        }
-        // Pass 1: count the program's total retired instructions.
-        sim.reset_in_place();
-        sim.load_program(Arc::clone(program));
-        let count = sim.run_functional(opts.max_insts)?;
-        if count.exit != FunctionalExit::Halted {
-            return Err(format!(
-                "functional count pass exited {:?} after {} instructions",
-                count.exit, count.retired
-            ));
-        }
-        let total = count.retired;
-        if total == 0 {
-            return Err("program retires no instructions".to_string());
-        }
-        let segments = plan_segments(total, opts.checkpoints);
-
-        // Pass 2: re-run, capturing a checkpoint at each segment start.
-        sim.reset_in_place();
-        sim.load_program(Arc::clone(program));
-        let mut windows = Vec::with_capacity(segments.len());
-        let mut position = 0u64;
-        for (index, &(start_inst, segment_len)) in segments.iter().enumerate() {
-            let advance = start_inst - position;
-            if advance > 0 {
-                let step = sim.run_functional(advance)?;
-                if step.retired != advance {
-                    return Err(format!(
-                        "functional capture pass retired {} of {advance} instructions",
-                        step.retired
-                    ));
-                }
-                position = start_inst;
-            }
-            windows.push(WindowPlan {
-                index,
-                start_inst,
-                segment_len,
-                checkpoint: sim.capture_checkpoint(workload, start_inst),
-            });
-        }
+        let total = count_insts(sim, program, opts)?;
+        let count = plan_segments(total, opts.checkpoints).len();
+        let windows = capture_windows(sim, program, workload, total, opts, 0..count)?;
         Ok(SampledPlan {
             total_insts: total,
             windows,
         })
     }
+
+    /// Measures every planned window on `sim`, in index order, and
+    /// stitches them into a whole-program estimate.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first window failure (see [`run_window`]).
+    pub fn run(
+        &self,
+        sim: &mut Simulator,
+        program: &Arc<Program>,
+        opts: &SampledOptions,
+    ) -> Result<SampledReport, String> {
+        let windows = self
+            .windows
+            .iter()
+            .map(|window| run_window(sim, window, program, opts))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(SampledReport {
+            total_insts: self.total_insts,
+            report: stitch_reports(self.total_insts, &windows),
+            windows,
+        })
+    }
+}
+
+/// The count pass: cold-resets `sim`, runs `program` functionally to
+/// its halt and returns the retired-instruction count `T` that fixes
+/// the segment grid.
+///
+/// # Errors
+///
+/// Fails when `opts.checkpoints` is zero, the program retires no
+/// instructions, or the pass exits without halting (fetch fault or
+/// `opts.max_insts` exhausted).
+pub fn count_insts(
+    sim: &mut Simulator,
+    program: &Arc<Program>,
+    opts: &SampledOptions,
+) -> Result<u64, String> {
+    if opts.checkpoints == 0 {
+        return Err("a sampled run needs at least one checkpoint".to_string());
+    }
+    sim.reset_in_place();
+    sim.load_program(Arc::clone(program));
+    let count = sim.run_functional(opts.max_insts)?;
+    if count.exit != FunctionalExit::Halted {
+        return Err(format!(
+            "functional count pass exited {:?} after {} instructions",
+            count.exit, count.retired
+        ));
+    }
+    if count.retired == 0 {
+        return Err("program retires no instructions".to_string());
+    }
+    Ok(count.retired)
+}
+
+/// The capture pass: cold-resets `sim` and runs `program` functionally
+/// through the segment grid of a `total_insts`-instruction run,
+/// capturing the checkpoint of each window in `indices` and stopping at
+/// the start of the last one. `indices` must ascend.
+///
+/// # Errors
+///
+/// Fails when an index lies outside the grid (which can have fewer than
+/// `opts.checkpoints` segments for very short programs) or behind the
+/// previous one, or when the program halts before a window's start.
+pub fn capture_windows(
+    sim: &mut Simulator,
+    program: &Arc<Program>,
+    workload: &str,
+    total_insts: u64,
+    opts: &SampledOptions,
+    indices: impl IntoIterator<Item = usize>,
+) -> Result<Vec<WindowPlan>, String> {
+    let segments = plan_segments(total_insts, opts.checkpoints);
+    sim.reset_in_place();
+    sim.load_program(Arc::clone(program));
+    let mut windows = Vec::new();
+    let mut position = 0u64;
+    for index in indices {
+        let &(start_inst, segment_len) = segments.get(index).ok_or_else(|| {
+            format!(
+                "window index {index} out of range: the run has {} segments",
+                segments.len()
+            )
+        })?;
+        let advance = start_inst
+            .checked_sub(position)
+            .ok_or_else(|| format!("window {index} lies behind the capture pass"))?;
+        if advance > 0 {
+            let step = sim.run_functional(advance)?;
+            if step.retired != advance {
+                return Err(format!(
+                    "functional capture pass retired {} of {advance} instructions",
+                    step.retired
+                ));
+            }
+            position = start_inst;
+        }
+        windows.push(WindowPlan {
+            index,
+            start_inst,
+            segment_len,
+            checkpoint: sim.capture_checkpoint(workload, start_inst),
+        });
+    }
+    Ok(windows)
 }
 
 /// Plans a single window of a sampled run without capturing the other
-/// `count − 1` checkpoints: one functional pass counts `T`, a second
-/// fast-forwards to the window's segment start and captures only that
-/// checkpoint. Returns the whole-program instruction count alongside
-/// the plan, so independent window jobs (one per worker) can each call
-/// this and still agree on the segment grid.
+/// `count − 1` checkpoints: [`count_insts`], then a capture pass that
+/// ends at the window's segment start. Returns the whole-program
+/// instruction count alongside the plan. This is the path of a window
+/// job run on its own, with no sampled-run orchestrator to hand it a
+/// checkpoint.
 ///
 /// # Errors
 ///
@@ -190,49 +260,9 @@ pub fn plan_one_window(
     opts: &SampledOptions,
     index: usize,
 ) -> Result<(u64, WindowPlan), String> {
-    if opts.checkpoints == 0 {
-        return Err("a sampled run needs at least one checkpoint".to_string());
-    }
-    sim.reset_in_place();
-    sim.load_program(Arc::clone(program));
-    let count = sim.run_functional(opts.max_insts)?;
-    if count.exit != FunctionalExit::Halted {
-        return Err(format!(
-            "functional count pass exited {:?} after {} instructions",
-            count.exit, count.retired
-        ));
-    }
-    let total = count.retired;
-    if total == 0 {
-        return Err("program retires no instructions".to_string());
-    }
-    let segments = plan_segments(total, opts.checkpoints);
-    let &(start_inst, segment_len) = segments.get(index).ok_or_else(|| {
-        format!(
-            "window index {index} out of range: the run has {} segments",
-            segments.len()
-        )
-    })?;
-    sim.reset_in_place();
-    sim.load_program(Arc::clone(program));
-    if start_inst > 0 {
-        let step = sim.run_functional(start_inst)?;
-        if step.retired != start_inst {
-            return Err(format!(
-                "functional fast-forward retired {} of {start_inst} instructions",
-                step.retired
-            ));
-        }
-    }
-    Ok((
-        total,
-        WindowPlan {
-            index,
-            start_inst,
-            segment_len,
-            checkpoint: sim.capture_checkpoint(workload, start_inst),
-        },
-    ))
+    let total = count_insts(sim, program, opts)?;
+    let mut windows = capture_windows(sim, program, workload, total, opts, [index])?;
+    Ok((total, windows.pop().expect("one index captures one window")))
 }
 
 /// Splits `total` instructions into `count` contiguous `(start, len)`
@@ -386,17 +416,7 @@ pub fn run_sampled(
     workload: &str,
     opts: &SampledOptions,
 ) -> Result<SampledReport, String> {
-    let plan = SampledPlan::build(sim, program, workload, opts)?;
-    let mut windows = Vec::with_capacity(plan.windows.len());
-    for window in &plan.windows {
-        windows.push(run_window(sim, window, program, opts)?);
-    }
-    let report = stitch_reports(plan.total_insts, &windows);
-    Ok(SampledReport {
-        total_insts: plan.total_insts,
-        report,
-        windows,
-    })
+    SampledPlan::build(sim, program, workload, opts)?.run(sim, program, opts)
 }
 
 #[cfg(test)]
@@ -469,6 +489,25 @@ mod tests {
             plan_one_window(&mut sim, &program, "counting", &opts, full.windows.len())
                 .unwrap_err()
                 .contains("out of range")
+        );
+    }
+
+    #[test]
+    fn capturing_some_windows_matches_the_full_plan() {
+        let mut sim = Simulator::new(SimConfig::new(DefenseConfig::Origin));
+        let program = counting_program(400);
+        let opts = SampledOptions {
+            checkpoints: 4,
+            ..SampledOptions::default()
+        };
+        let full = SampledPlan::build(&mut sim, &program, "counting", &opts).unwrap();
+        let total = full.total_insts;
+        let some = capture_windows(&mut sim, &program, "counting", total, &opts, [1, 3]).unwrap();
+        assert_eq!(some, [full.windows[1].clone(), full.windows[3].clone()]);
+        assert!(
+            capture_windows(&mut sim, &program, "counting", total, &opts, [2, 1])
+                .unwrap_err()
+                .contains("behind the capture pass")
         );
     }
 

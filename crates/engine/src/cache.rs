@@ -1,5 +1,6 @@
-//! Cross-job reuse inside a sweep: the decoded-program cache and the
-//! per-worker simulator slot.
+//! Cross-job reuse inside a sweep: the decoded-program cache (with its
+//! hand-off slots for sampled-run checkpoints) and the per-worker
+//! simulator slot.
 //!
 //! A sweep like `fig5` runs five defense configurations per benchmark,
 //! and every one of them executes the *same* two programs (the warm-up
@@ -10,6 +11,13 @@
 //! that key and hands out `Arc<Program>` clones, so a 110-job `fig5`
 //! sweep performs 44 builds (22 benchmarks × two iteration counts)
 //! instead of 220.
+//!
+//! A sampled run reuses the cache a second way. Its orchestrator
+//! (`run_sampled_bench`) captures the checkpoint of every window the
+//! store lacks in one functional pass before the pool starts, and files
+//! each [`WindowPlan`] in the cache under a `WindowKey`; the window job
+//! takes its plan from there, and only a job that finds none counts and
+//! fast-forwards for itself.
 //!
 //! [`WorkerContext`] is the per-worker companion: each scheduler worker
 //! owns one, holding a shared handle to the sweep's `ProgramCache` plus
@@ -24,12 +32,31 @@
 //!
 //! [`JobSpec`]: crate::JobSpec
 
-use condspec::{SimConfig, Simulator};
+use crate::job::MachinePreset;
+use condspec::{SimConfig, Simulator, WindowPlan};
 use condspec_isa::Program;
 use condspec_workloads::spec::{build_program, by_name};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Names one sampled-run window's checkpoint: everything that fixes
+/// where the window starts and what the captured state holds. The
+/// defense and the window's measurement knobs are left out, because a
+/// checkpoint is policy-agnostic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct WindowKey {
+    /// Benchmark name from the suite.
+    pub benchmark: &'static str,
+    /// Outer iterations of the sampled program.
+    pub iterations: u64,
+    /// Machine preset the checkpoint was captured on.
+    pub machine: MachinePreset,
+    /// Checkpoints the run's segment grid was planned with.
+    pub checkpoints: usize,
+    /// Which segment the window measures.
+    pub index: usize,
+}
 
 /// A sweep-wide memo of built benchmark programs, shared across the
 /// worker pool behind an `Arc`.
@@ -39,10 +66,15 @@ use std::sync::{Arc, Mutex};
 /// so two jobs with equal keys would build identical programs;
 /// the cache builds once and clones the `Arc`.
 ///
+/// It also carries sampled-run window plans from the orchestrator
+/// that captured them to the window jobs that measure them. Each plan
+/// is handed over once: the job that takes it releases its checkpoint.
+///
 /// [`JobSpec`]: crate::JobSpec
 #[derive(Debug, Default)]
 pub struct ProgramCache {
     programs: Mutex<HashMap<(&'static str, u64), Arc<Program>>>,
+    windows: Mutex<HashMap<WindowKey, (u64, WindowPlan)>>,
     builds: AtomicU64,
     hits: AtomicU64,
 }
@@ -79,6 +111,24 @@ impl ProgramCache {
         program
     }
 
+    /// Files the plan of the window `key` names, with its run's
+    /// whole-program instruction count, for the window job to take.
+    pub(crate) fn hand_over(&self, key: WindowKey, total_insts: u64, plan: WindowPlan) {
+        self.windows
+            .lock()
+            .expect("no thread panics while holding the window memo")
+            .insert(key, (total_insts, plan));
+    }
+
+    /// Takes the plan filed under `key`, if `run_sampled_bench`
+    /// captured one.
+    pub(crate) fn take_window(&self, key: &WindowKey) -> Option<(u64, WindowPlan)> {
+        self.windows
+            .lock()
+            .expect("no thread panics while holding the window memo")
+            .remove(key)
+    }
+
     /// Programs built (one per distinct key requested).
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
@@ -111,7 +161,8 @@ impl ProgramCache {
 }
 
 /// One scheduler worker's reusable execution state: a handle to the
-/// sweep-wide [`ProgramCache`] and the worker's resident simulator.
+/// sweep-wide [`ProgramCache`] (programs and handed-over window plans)
+/// and the worker's resident simulator.
 #[derive(Debug)]
 pub struct WorkerContext {
     programs: Arc<ProgramCache>,

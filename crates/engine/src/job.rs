@@ -10,7 +10,7 @@
 //! the same hash compute the same result, so a resumed sweep can skip
 //! any job whose artifact already exists.
 
-use crate::cache::WorkerContext;
+use crate::cache::{WindowKey, WorkerContext};
 use crate::hash::{fnv1a64, hex16};
 use condspec::{
     leak_report_to_json, plan_one_window, run_timeseries, run_window, DefenseConfig,
@@ -34,7 +34,7 @@ pub const DEFAULT_BUDGET: u64 = 200_000_000;
 
 /// A machine preset by stable name (hashable, unlike the full
 /// [`MachineConfig`] parameter block).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MachinePreset {
     /// The paper's default 4-wide evaluation core.
     PaperDefault,
@@ -101,11 +101,15 @@ pub enum Workload {
         warmup: u64,
     },
     /// One detailed measurement window of a sampled benchmark run:
-    /// functional fast-forward to the window's segment start, detailed
+    /// restore the checkpoint at the window's segment start, detailed
     /// warm-up, statistics reset, detailed measurement. Window jobs are
     /// independent of each other, so a sampled run fans one job per
     /// segment across the worker pool and stitches the window reports
-    /// afterwards (`run_sampled_bench`).
+    /// afterwards (`run_sampled_bench`), which captures every
+    /// checkpoint in one functional pass and hands each to its job
+    /// through the [`ProgramCache`](crate::ProgramCache); a window job
+    /// run without it (alone, or by a remote worker) counts the program
+    /// and fast-forwards to its own segment start instead.
     BenchWindow {
         /// Benchmark name from the suite.
         benchmark: &'static str,
@@ -344,6 +348,38 @@ impl JobSpec {
         label
     }
 
+    /// For a [`Workload::BenchWindow`] job, the key its handed-over
+    /// checkpoint is filed under and the options its functional passes
+    /// and window run with; `None` for every other workload.
+    pub(crate) fn window_setup(&self) -> Option<(WindowKey, SampledOptions)> {
+        let Workload::BenchWindow {
+            benchmark,
+            iterations,
+            checkpoints,
+            window,
+            window_warmup,
+            window_index,
+        } = self.workload
+        else {
+            return None;
+        };
+        let key = WindowKey {
+            benchmark,
+            iterations,
+            machine: self.machine,
+            checkpoints,
+            index: window_index,
+        };
+        let opts = SampledOptions {
+            checkpoints,
+            window,
+            warmup: window_warmup,
+            max_cycles: self.budget,
+            ..SampledOptions::default()
+        };
+        Some((key, opts))
+    }
+
     /// The simulator configuration a benchmark job runs under.
     pub fn sim_config(&self) -> SimConfig {
         let mut config = SimConfig::on_machine(self.defense, self.machine.config());
@@ -374,8 +410,10 @@ impl JobSpec {
     ///
     /// Benchmark workloads fetch their warm-up and measured programs
     /// from the shared [`ProgramCache`](crate::ProgramCache) and run on
-    /// the worker's reset-in-place simulator; attack and variant
-    /// workloads orchestrate their own simulators and ignore `ctx`.
+    /// the worker's reset-in-place simulator; window jobs also take
+    /// their handed-over checkpoint from it when there is one. Attack
+    /// and variant workloads orchestrate their own simulators and
+    /// ignore `ctx`.
     /// Reuse never changes results: the document contains only
     /// deterministic simulation results — never wall-clock times or
     /// hostnames — so artifacts are byte-identical however the sweep
@@ -408,26 +446,17 @@ impl JobSpec {
                     Json::from(sim.core().stats().icache_fetch_stalls),
                 ));
             }
-            Workload::BenchWindow {
-                benchmark,
-                iterations,
-                checkpoints,
-                window,
-                window_warmup,
-                window_index,
-            } => {
-                let program = ctx.programs().get_or_build(benchmark, *iterations);
+            Workload::BenchWindow { .. } => {
+                let (key, opts) = self
+                    .window_setup()
+                    .expect("a window job has a window setup");
+                let program = ctx.programs().get_or_build(key.benchmark, key.iterations);
+                let handed_over = ctx.programs().take_window(&key);
                 let sim = ctx.simulator(self.sim_config());
-                let opts = SampledOptions {
-                    checkpoints: *checkpoints,
-                    window: *window,
-                    warmup: *window_warmup,
-                    max_cycles: self.budget,
-                    ..SampledOptions::default()
-                };
-                let (total_insts, plan) =
-                    plan_one_window(sim, &program, benchmark, &opts, *window_index)
-                        .unwrap_or_else(|e| panic!("window planning failed: {e}"));
+                let (total_insts, plan) = handed_over.unwrap_or_else(|| {
+                    plan_one_window(sim, &program, key.benchmark, &opts, key.index)
+                        .unwrap_or_else(|e| panic!("window planning failed: {e}"))
+                });
                 let measured = run_window(sim, &plan, &program, &opts)
                     .unwrap_or_else(|e| panic!("window run failed: {e}"));
                 doc.push(("report", measured.report.to_json()));

@@ -1,24 +1,28 @@
 //! Sampled-run orchestration on the worker pool: one functional count
-//! pass, one independent [`Workload::BenchWindow`] job per segment, and
-//! weighted stitching of the window artifacts into a whole-program
-//! estimate.
+//! pass, one functional capture pass, one independent
+//! [`Workload::BenchWindow`] job per segment, and weighted stitching of
+//! the window artifacts into a whole-program estimate.
 //!
-//! The orchestrator deliberately runs *only* the count pass itself
-//! (functional execution, tens of times faster than detailed): each
-//! window job recomputes its own fast-forward to its segment start, so
-//! the fast-forwards overlap across workers instead of serializing in
-//! the driver. Window jobs are content-hashed like any other job
-//! (`kind=bench-window`), so a warm [`ResultStore`] serves a repeated
-//! sampled run without simulating a single window.
+//! The orchestrator runs both functional passes itself, before the
+//! pool starts (functional execution is tens of times faster than
+//! detailed). The capture pass takes the checkpoint of every window the
+//! store cannot serve and stops at the start of the last one; each plan
+//! reaches its window job through the pool's [`ProgramCache`], so a
+//! program is run functionally at most twice. A window job that finds
+//! no plan there plans its own window, which is what a job run alone or
+//! on a remote worker does. Window jobs are content-hashed like any
+//! other job (`kind=bench-window`), so a warm [`ResultStore`] serves a
+//! repeated sampled run without capturing or simulating a single
+//! window.
 //!
 //! [`Workload::BenchWindow`]: crate::Workload::BenchWindow
 
-use crate::cache::ProgramCache;
+use crate::cache::{ProgramCache, WindowKey};
 use crate::job::{JobSpec, MachinePreset, Workload, DEFAULT_BUDGET, DEFAULT_ITERATIONS};
 use crate::scheduler::run_jobs_stored;
 use crate::JobSource;
 use condspec::{
-    plan_segments, stitch_reports, DefenseConfig, FunctionalExit, LruPolicy, Report,
+    capture_windows, count_insts, plan_segments, stitch_reports, DefenseConfig, LruPolicy, Report,
     SampledOptions, Simulator, WindowReport,
 };
 use condspec_stats::Json;
@@ -166,47 +170,58 @@ fn window_field(doc: &Json, key: &str, index: usize) -> Result<u64, String> {
 }
 
 /// Runs a complete sampled simulation of `spec` on `workers` threads:
-/// functional count pass, one detailed window job per segment on the
-/// scheduler (consulting `store` when given), weighted stitch.
+/// functional count pass, one functional capture pass over the windows
+/// `store` (when given) lacks, one detailed window job per segment on
+/// the scheduler, weighted stitch.
 ///
 /// # Errors
 ///
-/// Fails on an unknown benchmark, a zero-checkpoint grid, a count pass
-/// that does not halt, a failed window job, or a window artifact that
-/// disagrees with the count pass (a stale store entry from a different
-/// code generation would be caught here, not silently stitched).
+/// Fails on an unknown benchmark, a zero-checkpoint grid, a functional
+/// pass that does not halt, a failed window job, or a window artifact
+/// that disagrees with the count pass (a stale store entry from a
+/// different code generation would be caught here, not silently
+/// stitched).
 pub fn run_sampled_bench(
     spec: &SampledBenchSpec,
     workers: usize,
     store: Option<&ResultStore>,
 ) -> Result<SampledBenchOutcome, String> {
-    if spec.checkpoints == 0 {
-        return Err("a sampled run needs at least one checkpoint".to_string());
-    }
     if by_name(spec.benchmark).is_none() {
         return Err(format!("unknown benchmark `{}`", spec.benchmark));
     }
     let programs = Arc::new(ProgramCache::new());
     let program = programs.get_or_build(spec.benchmark, spec.iterations);
-
-    // Count pass: one functional run fixes the segment grid. Window
-    // jobs recompute their own fast-forward in parallel.
-    let mut sim = Simulator::new(spec.window_job(0).sim_config());
-    sim.load_program(Arc::clone(&program));
-    let count = sim.run_functional(SampledOptions::default().max_insts)?;
-    if count.exit != FunctionalExit::Halted {
-        return Err(format!(
-            "functional count pass exited {:?} after {} instructions",
-            count.exit, count.retired
-        ));
-    }
-    let total_insts = count.retired;
-    if total_insts == 0 {
-        return Err("program retires no instructions".to_string());
-    }
+    let first = spec.window_job(0);
+    let (key, opts) = first
+        .window_setup()
+        .expect("a window job has a window setup");
+    let mut sim = Simulator::new(first.sim_config());
+    let total_insts = count_insts(&mut sim, &program, &opts)?;
     let segments = plan_segments(total_insts, spec.checkpoints);
-
     let jobs: Vec<JobSpec> = (0..segments.len()).map(|i| spec.window_job(i)).collect();
+
+    // A window the store holds is never simulated, so its checkpoint is
+    // not captured. `is_file` leaves the store's hit counters to the
+    // pool's own lookups.
+    let missing = (0..jobs.len())
+        .filter(|&i| store.is_none_or(|s| !s.object_path(&jobs[i].store_key()).is_file()));
+    let plans = capture_windows(
+        &mut sim,
+        &program,
+        spec.benchmark,
+        total_insts,
+        &opts,
+        missing,
+    )?;
+    drop(sim);
+    for plan in plans {
+        let key = WindowKey {
+            index: plan.index,
+            ..key
+        };
+        programs.hand_over(key, total_insts, plan);
+    }
+
     let results = run_jobs_stored(&jobs, workers, &programs, store, |_, _, _, _| {});
 
     let mut windows = Vec::with_capacity(results.len());
@@ -306,6 +321,33 @@ mod tests {
         assert_eq!(warm.executed, 0, "every window comes from the store");
         assert_eq!(warm.store_hits, cold.windows.len());
         assert_eq!(warm.report, cold.report);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn handed_over_checkpoints_give_the_same_artifacts_as_recomputed_ones() {
+        let root =
+            std::env::temp_dir().join(format!("condspec-sampled-handover-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let store = ResultStore::open(&root);
+        let spec = tiny_spec();
+        let cold = run_sampled_bench(&spec, 2, Some(&store)).expect("cold run");
+        let n = cold.windows.len();
+        for i in 0..n {
+            let job = spec.window_job(i);
+            // Run alone, the job has no orchestrator to hand it a
+            // checkpoint and plans its own window.
+            let recomputed = job.execute().render();
+            let stored = store.load(&job.store_key()).expect("stored window");
+            assert_eq!(stored.render(), recomputed, "window {i}");
+        }
+
+        let lost = spec.window_job(n / 2).store_key();
+        std::fs::remove_file(store.object_path(&lost)).expect("delete one window");
+        let rerun = run_sampled_bench(&spec, 2, Some(&store)).expect("rerun");
+        assert_eq!(rerun.executed, 1, "only the deleted window runs again");
+        assert_eq!(rerun.store_hits, n - 1);
+        assert_eq!(rerun.report, cold.report);
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -807,3 +807,31 @@ fn daemon_round_trip_with_warm_store_second_submission() {
     std::fs::remove_dir_all(&runs_root).ok();
     std::fs::remove_dir_all(&store_root).ok();
 }
+
+#[test]
+fn a_deeply_nested_body_is_refused_and_the_daemon_lives_on() {
+    let runs_root = scratch("nested-runs");
+    let server = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        runs_root: runs_root.clone(),
+        store_root: None,
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let daemon = std::thread::spawn(move || server.run().expect("serve"));
+
+    // The largest body the daemon reads, all `[`: the JSON parser must
+    // refuse it rather than recurse once per level off the end of the
+    // handler thread's stack, which would abort the whole process.
+    let body = "[".repeat(condspec_serve::http::MAX_BODY);
+    let (status, reply) = post(addr, "/api/sweeps", &body);
+    assert!((400..500).contains(&status), "{status}: {reply}");
+    let (status, reply) = get(addr, "/healthz");
+    assert_eq!(status, 200, "{reply}");
+
+    let (status, _) = post(addr, "/api/shutdown", "");
+    assert_eq!(status, 200);
+    daemon.join().expect("daemon thread exits cleanly");
+    std::fs::remove_dir_all(&runs_root).ok();
+}

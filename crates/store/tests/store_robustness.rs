@@ -1,8 +1,9 @@
 //! Robustness properties of the persistent result store: concurrent
 //! same-key inserts, lease races between handles, corruption tolerance,
-//! and deep verification.
+//! hostile file contents, and deep verification.
 
-use condspec_stats::Json;
+use condspec_stats::json::MAX_DEPTH;
+use condspec_stats::{Json, SplitMix64};
 use condspec_store::{ClaimStatus, ResultStore};
 use std::fs;
 use std::path::PathBuf;
@@ -182,5 +183,92 @@ fn verify_flags_a_bit_flipped_entry() {
     // And the damaged entry reads as a miss while the healthy one hits.
     assert_eq!(store.load(KEY), None);
     assert_eq!(store.load(other), Some(artifact()));
+    fs::remove_dir_all(&root).ok();
+}
+
+/// Seeded hostile contents for the store's three readers — objects,
+/// checkpoints and leases — and for the JSON parser beneath them: every
+/// truncation and every nest past [`MAX_DEPTH`] reads as a parse error
+/// or a miss, and a flipped bit never panics. A flip outside the
+/// checksummed payload (a label, say) can leave an envelope valid, so a
+/// flipped object or checkpoint reads as a miss or as the original
+/// artifact, never as a damaged one.
+#[test]
+fn hostile_files_read_as_misses_and_never_panic() {
+    let root = scratch("hostile");
+    fs::remove_dir_all(&root).ok();
+    let store = ResultStore::open(&root);
+    let checkpoint = Json::object(vec![
+        ("schema", Json::from("condspec-checkpoint-v1")),
+        ("inst_index", Json::from(54_790u64)),
+        (
+            "memory_pages",
+            Json::Array(vec![Json::object(vec![
+                ("pn", Json::from(16u64)),
+                ("data", Json::from("00ff10")),
+            ])]),
+        ),
+    ]);
+    store
+        .insert(KEY, "0123456789abcdef", "gcc/origin", 42, &artifact())
+        .expect("insert");
+    store
+        .insert_checkpoint(KEY, "kind=checkpoint", "gcc@54790", 42, &checkpoint)
+        .expect("insert checkpoint");
+    store
+        .try_claim(KEY, "shard-a", Duration::from_secs(3600))
+        .expect("claim");
+
+    let mut rng = SplitMix64::new(0x5eed_f00d);
+    let files = [
+        ("object", store.object_path(KEY)),
+        ("checkpoint", store.checkpoint_path(KEY)),
+        ("lease", store.claim_path(KEY)),
+    ];
+    for (reader, path) in &files {
+        let original = fs::read(path).expect("read file");
+        let end = String::from_utf8_lossy(&original).trim_end().len();
+        for case in 0..300 {
+            let (bytes, must_fail) = match case % 3 {
+                0 => (original[..rng.gen_usize(0, end)].to_vec(), true),
+                1 => {
+                    let mut flipped = original.clone();
+                    flipped[rng.gen_usize(0, end)] ^= 1 << rng.gen_range(0, 8);
+                    (flipped, false)
+                }
+                _ => {
+                    let depth = rng.gen_usize(MAX_DEPTH, 20_000);
+                    let mut nested = "[".repeat(depth).into_bytes();
+                    nested.extend_from_slice(&original[..end]);
+                    nested.extend_from_slice("]".repeat(depth).as_bytes());
+                    (nested, true)
+                }
+            };
+            let parsed = Json::parse(&String::from_utf8_lossy(&bytes));
+            assert!(!must_fail || parsed.is_err(), "case {case} parsed");
+            fs::write(path, &bytes).expect("write hostile file");
+            match *reader {
+                "object" => {
+                    let doc = store.load(KEY);
+                    assert!(doc.is_none() || (!must_fail && doc == Some(artifact())));
+                }
+                "checkpoint" => {
+                    let doc = store.load_checkpoint(KEY);
+                    assert!(doc.is_none() || (!must_fail && doc.as_ref() == Some(&checkpoint)));
+                }
+                _ => {
+                    let renewed = store.heartbeat(KEY, "shard-a").expect("heartbeat I/O");
+                    assert!(
+                        !must_fail || !renewed,
+                        "case {case} renewed a damaged lease"
+                    );
+                    let leases = store.leases().expect("list leases");
+                    if must_fail {
+                        assert_eq!(leases[0].owner, "unknown");
+                    }
+                }
+            }
+        }
+    }
     fs::remove_dir_all(&root).ok();
 }
