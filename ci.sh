@@ -14,6 +14,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> benchmark harness compiles against the workspace (cargo check perfbench/harness)"
+# perfbench/harness links the workspace crates by path from a workspace
+# of its own, so nothing above builds it; a removed or changed public
+# item it uses would otherwise surface only when the benchmark runs.
+cargo check --offline --manifest-path perfbench/harness/Cargo.toml
+
 echo "==> perf smoke + regression guard (condspec perf --quick --compare --stages)"
 cargo build --release -p condspec-cli
 perf_out="target/perf-smoke/simspeed.json"
@@ -172,33 +178,23 @@ grep -q "store stats: 110 entries" "$store_stats" || {
 rm -rf "$runs_cold" "$runs_warm"
 
 echo "==> sampled-run smoke (functional checkpoints -> detailed windows -> stitched report)"
-# A sampled run functionally fast-forwards to evenly spaced checkpoints,
-# files them in the result store (counted separately from job results),
-# runs a detailed window from each, and stitches the windows into a
-# whole-program estimate. The whole pipeline is deterministic, so two
-# runs render byte-identical reports.
+# A sampled run functionally fast-forwards to evenly spaced checkpoints
+# (held in memory), runs a detailed window from each, and stitches the
+# windows into a whole-program estimate. The whole pipeline is
+# deterministic, so two runs render byte-identical reports.
 sampled_bin="target/perf-smoke/gcc.bin"
-sampled_store="target/perf-smoke/sampled-store"
 sampled_out="target/perf-smoke/sampled-run.txt"
 sampled_log="target/perf-smoke/sampled-run.log"
-rm -rf "$sampled_store"
 ./target/release/condspec save --name gcc --file "$sampled_bin"
 ./target/release/condspec run --file "$sampled_bin" --mode sampled \
-    --checkpoints 4 --window 2000 --store --store-root "$sampled_store" \
-    > "$sampled_out" 2> "$sampled_log"
-grep -q "filed 4 checkpoints" "$sampled_log" || {
-    echo "sampled run did not file its checkpoints; log says:" >&2
-    cat "$sampled_log" >&2
-    exit 1
-}
+    --checkpoints 4 --window 2000 > "$sampled_out" 2> "$sampled_log"
 grep -q "stitched estimate:" "$sampled_out" || {
     echo "sampled run produced no stitched estimate:" >&2
     cat "$sampled_out" >&2
     exit 1
 }
 ./target/release/condspec run --file "$sampled_bin" --mode sampled \
-    --checkpoints 4 --window 2000 --store --store-root "$sampled_store" \
-    > "$sampled_out.rerun" 2>/dev/null
+    --checkpoints 4 --window 2000 > "$sampled_out.rerun" 2>/dev/null
 # The header line carries the run's wall time; everything below it (the
 # per-window table and the stitched estimate) must be byte-identical.
 cmp <(tail -n +2 "$sampled_out") <(tail -n +2 "$sampled_out.rerun") || {
@@ -209,13 +205,6 @@ cmp <(tail -n +2 "$sampled_out") <(tail -n +2 "$sampled_out.rerun") || {
 rm "$sampled_out.rerun"
 # The body alone is pinned by the observation digests below.
 tail -n +2 "$sampled_out" > target/perf-smoke/sampled-run.body
-./target/release/condspec store stats --root "$sampled_store" \
-    > target/perf-smoke/sampled-store-stats.txt
-grep -q "4 checkpoints" target/perf-smoke/sampled-store-stats.txt || {
-    echo "store stats does not count the filed checkpoints" >&2
-    cat target/perf-smoke/sampled-store-stats.txt >&2
-    exit 1
-}
 echo "sampled smoke ok: $(grep 'stitched estimate:' "$sampled_out")"
 
 echo "==> leak-oracle smoke (condspec leaks --quick, deterministic, claim reproduced)"

@@ -8,8 +8,7 @@
 pub mod perf;
 pub mod stage;
 
-use condspec::{DefenseConfig, LruPolicy, MachineConfig, Report, SimConfig, Simulator};
-use condspec_pipeline::PipelineStats;
+use condspec::{DefenseConfig, Report, SimConfig, Simulator};
 use condspec_workloads::spec::{build_program, WorkloadSpec};
 
 /// Outer iterations per measured benchmark run (~4.8k instructions per
@@ -36,8 +35,6 @@ pub struct RunMeasurement {
     pub defense: DefenseConfig,
     /// The evaluation report for the measured window.
     pub report: Report,
-    /// Raw pipeline statistics for the measured window.
-    pub pipeline: PipelineStats,
 }
 
 /// Runs one benchmark under one configuration: load, warm up, measure to
@@ -60,37 +57,7 @@ pub fn run_benchmark(
         benchmark: spec.name,
         defense: config.defense,
         report,
-        pipeline: *sim.core().stats(),
     }
-}
-
-/// Runs one benchmark under every defense environment on a machine,
-/// returning measurements in [`DefenseConfig::ALL`] order.
-pub fn run_all_defenses(
-    spec: &WorkloadSpec,
-    machine: MachineConfig,
-    outer_iterations: u64,
-) -> Vec<RunMeasurement> {
-    DefenseConfig::ALL
-        .iter()
-        .map(|d| run_benchmark(spec, SimConfig::on_machine(*d, machine), outer_iterations))
-        .collect()
-}
-
-/// Runs one benchmark under the full defense with a given secure-LRU
-/// policy (the §VII.A study).
-pub fn run_with_lru(spec: &WorkloadSpec, lru: LruPolicy, outer_iterations: u64) -> RunMeasurement {
-    let config = SimConfig {
-        lru_policy: lru,
-        ..SimConfig::new(DefenseConfig::CacheHitTpbuf)
-    };
-    run_benchmark(spec, config, outer_iterations)
-}
-
-/// Normalized execution time (vs the Origin measurement of the same
-/// sweep).
-pub fn normalized(measurement: &RunMeasurement, origin: &RunMeasurement) -> f64 {
-    measurement.report.cycles as f64 / origin.report.cycles.max(1) as f64
 }
 
 /// The shared entry point of the table/figure harnesses: runs the named
@@ -170,12 +137,15 @@ mod tests {
     #[test]
     fn defenses_ordering_on_one_benchmark() {
         let spec = by_name("gcc").expect("suite benchmark");
-        let runs = run_all_defenses(&spec, MachineConfig::paper_default(), 20);
-        assert_eq!(runs.len(), 4);
-        let origin = &runs[0];
+        let runs: Vec<RunMeasurement> = DefenseConfig::ALL
+            .iter()
+            .map(|&d| run_benchmark(&spec, SimConfig::new(d), 20))
+            .collect();
+        assert_eq!(runs[0].defense, DefenseConfig::Origin);
+        let origin = runs[0].report.cycles.max(1) as f64;
         for r in &runs[1..] {
             assert!(
-                normalized(r, origin) >= 0.9,
+                r.report.cycles as f64 / origin >= 0.9,
                 "defenses should not speed the machine up: {} {}",
                 r.benchmark,
                 r.defense

@@ -104,12 +104,6 @@ pub enum Command {
         checkpoints: usize,
         /// Sampled mode: detailed instructions measured per window.
         window: u64,
-        /// Sampled mode: file the plan's checkpoints in the default
-        /// persistent store.
-        store: bool,
-        /// Sampled mode: file checkpoints in a store at this root
-        /// (implies `store`).
-        store_root: Option<String>,
     },
     /// Serialize a generated benchmark to a program file.
     Save {
@@ -305,7 +299,7 @@ USAGE:
   condspec bench   --name <benchmark> [--defense <name>] [--machine <name>] [--iters <n>]
   condspec run     --file <prog.bin> [--defense <name>] [--max-cycles <n>]
                    [--mode detailed|functional|sampled] [--checkpoints <n>]
-                   [--window <insts>] [--store] [--store-root <dir>]
+                   [--window <insts>]
   condspec save    --name <benchmark> --file <prog.bin> [--iters <n>]
   condspec trace   --kind <variant> [--defense <name>] [--events <n>]
                    [--format text|perfetto] [--out <file>]
@@ -532,13 +526,9 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             if window == Some(0) {
                 return Err(ParseError("--window must be at least 1 instruction".into()));
             }
-            let store = take_switch(&mut rest, "--store");
-            let store_root = take_flag(&mut rest, "--store-root")?;
-            if mode != RunMode::Sampled
-                && (checkpoints.is_some() || window.is_some() || store || store_root.is_some())
-            {
+            if mode != RunMode::Sampled && (checkpoints.is_some() || window.is_some()) {
                 return Err(ParseError(
-                    "--checkpoints/--window/--store only apply to --mode sampled".into(),
+                    "--checkpoints/--window only apply to --mode sampled".into(),
                 ));
             }
             Command::Run {
@@ -548,8 +538,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 mode,
                 checkpoints: checkpoints.unwrap_or(condspec::DEFAULT_CHECKPOINTS),
                 window: window.unwrap_or(condspec::DEFAULT_WINDOW),
-                store,
-                store_root,
             }
         }
         "save" => {
@@ -1020,8 +1008,6 @@ mod tests {
                 mode,
                 checkpoints,
                 window,
-                store,
-                store_root,
             } => {
                 assert_eq!(file, "p.bin");
                 assert_eq!(defense, Some(DefenseConfig::Origin));
@@ -1029,8 +1015,6 @@ mod tests {
                 assert_eq!(mode, RunMode::Detailed);
                 assert_eq!(checkpoints, condspec::DEFAULT_CHECKPOINTS);
                 assert_eq!(window, condspec::DEFAULT_WINDOW);
-                assert!(!store);
-                assert_eq!(store_root, None);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1057,8 +1041,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv(
-            "run --file p.bin --mode sampled --checkpoints 4 --window 5000 \
-             --store-root /tmp/store",
+            "run --file p.bin --mode sampled --checkpoints 4 --window 5000",
         ))
         .unwrap()
         {
@@ -1066,13 +1049,11 @@ mod tests {
                 mode,
                 checkpoints,
                 window,
-                store_root,
                 ..
             } => {
                 assert_eq!(mode, RunMode::Sampled);
                 assert_eq!(checkpoints, 4);
                 assert_eq!(window, 5000);
-                assert_eq!(store_root, Some("/tmp/store".to_string()));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1083,10 +1064,14 @@ mod tests {
             parse(&argv("run --file p.bin --checkpoints 4")).is_err(),
             "sampling knobs need --mode sampled"
         );
-        assert!(
-            parse(&argv("run --file p.bin --mode functional --store")).is_err(),
-            "checkpoint filing needs --mode sampled"
-        );
+        // Checkpoints live in memory: `run` takes no store in any mode.
+        for no_store in [
+            "run --file p.bin --mode sampled --store-root /tmp/store",
+            "run --file p.bin --mode sampled --store",
+            "run --file p.bin --mode functional --store",
+        ] {
+            assert!(parse(&argv(no_store)).is_err(), "{no_store}");
+        }
     }
 
     #[test]

@@ -270,8 +270,6 @@ fn run(cmd: Command) -> ExitCode {
             mode,
             checkpoints,
             window,
-            store,
-            store_root,
         } => {
             let bytes = match std::fs::read(&file) {
                 Ok(b) => b,
@@ -344,8 +342,7 @@ fn run(cmd: Command) -> ExitCode {
                     let workload = std::path::Path::new(&file)
                         .file_stem()
                         .and_then(|s| s.to_str())
-                        .unwrap_or(file.as_str())
-                        .to_string();
+                        .unwrap_or(file.as_str());
                     let opts = condspec::SampledOptions {
                         checkpoints,
                         window,
@@ -354,47 +351,7 @@ fn run(cmd: Command) -> ExitCode {
                         ..condspec::SampledOptions::default()
                     };
                     let started = std::time::Instant::now();
-                    let plan =
-                        match condspec::SampledPlan::build(&mut sim, &program, &workload, &opts) {
-                            Ok(p) => p,
-                            Err(e) => {
-                                eprintln!("sampled planning failed: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        };
-                    if let Some(root) = store_root_from(store, store_root) {
-                        let store = ResultStore::open(root);
-                        let fingerprint = condspec_engine::hash::code_fingerprint();
-                        for w in &plan.windows {
-                            let key = condspec_engine::checkpoint_store_key(
-                                &workload,
-                                &w.checkpoint.machine,
-                                plan.total_insts,
-                                w.start_inst,
-                            );
-                            let identity = format!(
-                                "kind=checkpoint;workload={workload};machine={};total={};inst={}",
-                                w.checkpoint.machine, plan.total_insts, w.start_inst
-                            );
-                            let label = format!("{workload}@{}", w.start_inst);
-                            if let Err(e) = store.insert_checkpoint(
-                                &key,
-                                &identity,
-                                &label,
-                                fingerprint,
-                                &w.checkpoint.to_json(),
-                            ) {
-                                eprintln!("cannot file checkpoint {label}: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                        eprintln!(
-                            "filed {} checkpoints in {}",
-                            plan.windows.len(),
-                            store.root().display()
-                        );
-                    }
-                    let sampled = match plan.run(&mut sim, &program, &opts) {
+                    let sampled = match condspec::run_sampled(&mut sim, &program, workload, &opts) {
                         Ok(sampled) => sampled,
                         Err(e) => {
                             eprintln!("sampled run failed: {e}");
@@ -709,12 +666,7 @@ fn run(cmd: Command) -> ExitCode {
                     println!("{}", stats.summary(store.root()));
                     // Machine-readable copy for CI artifact capture.
                     let mut registry = condspec_stats::MetricsRegistry::new();
-                    registry.set_counter("store.entries", stats.entries);
-                    registry.set_counter("store.bytes", stats.bytes);
-                    registry.set_counter("store.checkpoints", stats.checkpoints);
-                    registry.set_counter("store.checkpoint_bytes", stats.checkpoint_bytes);
-                    registry.set_counter("store.leases", stats.leases);
-                    registry.set_counter("store.stray_tmp", stats.stray_tmp);
+                    stats.fill_metrics(&mut registry);
                     println!("{}", registry.to_json().render());
                     ExitCode::SUCCESS
                 }

@@ -1,39 +1,18 @@
-//! Serializable simulation checkpoints (`condspec-checkpoint-v1`).
+//! Simulation checkpoints.
 //!
 //! A [`Checkpoint`] wraps a quiesced-boundary
 //! [`CoreSnapshot`](condspec_pipeline::CoreSnapshot) together with the
 //! identity needed to restore it safely: the machine preset it was
 //! captured on, the workload it belongs to, and the count of
-//! instructions retired before the capture point. Checkpoints render to
-//! and parse from the repo's zero-dependency [`Json`] so they flow
-//! through the persistent result store like any other artifact and two
-//! captures of the same state produce byte-identical documents.
+//! instructions retired before the capture point.
 //!
-//! # Encoding notes
-//!
-//! * **Memory pages** are hex strings (one page = `2 * PAGE_SIZE`
-//!   characters). Sampled runs fast-forward functionally, so a workload
-//!   touches few pages and documents stay small.
-//! * **Cache levels** store only *valid* lines as `[index, tag, stamp]`
-//!   triples; invalid lines decode as `(false, 0, 0)`. This is exact,
-//!   not lossy: lookups skip invalid lines, and victim selection picks
-//!   the first invalid way by *position* before it ever compares
-//!   stamps, so the tag/stamp residue an invalidation leaves behind can
-//!   never influence future behaviour. Decoding therefore canonicalizes
-//!   — `from_json(to_json(c))` equals `c` up to dead residue, and
-//!   re-encoding is idempotent.
-//! * **Predictor tables** (2-bit counters) are hex strings, one byte
-//!   per counter.
+//! Checkpoints live in memory only. A sampled run captures them in one
+//! functional pass and restores each into the detailed simulator that
+//! measures its window, within one process; a window job that has no
+//! checkpoint handed to it recomputes its own. Nothing persists or
+//! parses them.
 
-use condspec_mem::{CacheSnapshot, HierarchySnapshot, PAGE_SIZE};
 use condspec_pipeline::CoreSnapshot;
-use condspec_stats::Json;
-
-use condspec_frontend::{DirectionSnapshot, FrontEndSnapshot};
-use condspec_isa::reg::NUM_ARCH_REGS;
-
-/// Schema identifier stamped into every checkpoint document.
-pub const CHECKPOINT_SCHEMA: &str = "condspec-checkpoint-v1";
 
 /// A restorable simulator checkpoint: capture identity plus the full
 /// quiesced-core state.
@@ -49,365 +28,4 @@ pub struct Checkpoint {
     pub inst_index: u64,
     /// The captured core state.
     pub snapshot: CoreSnapshot,
-}
-
-impl Checkpoint {
-    /// Renders the checkpoint as a `condspec-checkpoint-v1` document.
-    pub fn to_json(&self) -> Json {
-        let s = &self.snapshot;
-        Json::object([
-            ("schema", Json::from(CHECKPOINT_SCHEMA)),
-            ("machine", Json::from(self.machine.clone())),
-            ("workload", Json::from(self.workload.clone())),
-            ("inst_index", Json::from(self.inst_index)),
-            ("cycle", Json::from(s.cycle)),
-            ("fetch_pc", Json::from(s.fetch_pc)),
-            ("next_seq", Json::from(s.next_seq)),
-            ("next_stamp", Json::from(s.next_stamp)),
-            ("halted", Json::from(s.halted)),
-            (
-                "arch_regs",
-                Json::Array(s.arch_regs.iter().map(|&v| Json::from(v)).collect()),
-            ),
-            (
-                "memory_pages",
-                Json::Array(
-                    s.memory_pages
-                        .iter()
-                        .map(|(pn, bytes)| {
-                            Json::object([
-                                ("pn", Json::from(*pn)),
-                                ("data", Json::from(hex_encode(bytes))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "page_table",
-                Json::Array(
-                    s.page_table
-                        .iter()
-                        .map(|&(vpn, ppn)| Json::Array(vec![Json::from(vpn), Json::from(ppn)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "tlb",
-                Json::Array(
-                    s.tlb_entries
-                        .iter()
-                        .map(|&(vpn, ppn, tick)| {
-                            Json::Array(vec![Json::from(vpn), Json::from(ppn), Json::from(tick)])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("tlb_tick", Json::from(s.tlb_tick)),
-            (
-                "hierarchy",
-                Json::object([
-                    ("l1i", cache_to_json(&s.hierarchy.l1i)),
-                    ("l1d", cache_to_json(&s.hierarchy.l1d)),
-                    ("l2", cache_to_json(&s.hierarchy.l2)),
-                    (
-                        "l3",
-                        s.hierarchy.l3.as_ref().map_or(Json::Null, cache_to_json),
-                    ),
-                ]),
-            ),
-            (
-                "frontend",
-                Json::object([
-                    (
-                        "bimodal",
-                        Json::from(hex_encode(&s.frontend.direction.bimodal)),
-                    ),
-                    (
-                        "gshare",
-                        Json::from(hex_encode(&s.frontend.direction.gshare)),
-                    ),
-                    (
-                        "chooser",
-                        Json::from(hex_encode(&s.frontend.direction.chooser)),
-                    ),
-                    ("history", Json::from(s.frontend.direction.history)),
-                    (
-                        "btb",
-                        Json::Array(
-                            s.frontend
-                                .btb
-                                .iter()
-                                .map(|&(pc, target)| {
-                                    Json::Array(vec![Json::from(pc), Json::from(target)])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "ras",
-                        Json::Array(s.frontend.ras.iter().map(|&a| Json::from(a)).collect()),
-                    ),
-                ]),
-            ),
-        ])
-    }
-
-    /// Parses a `condspec-checkpoint-v1` document. Returns `None` on a
-    /// wrong schema or any structural mismatch.
-    pub fn from_json(doc: &Json) -> Option<Checkpoint> {
-        if doc.get("schema")?.as_str()? != CHECKPOINT_SCHEMA {
-            return None;
-        }
-        let mut snapshot = CoreSnapshot {
-            cycle: doc.get("cycle")?.as_u64()?,
-            fetch_pc: doc.get("fetch_pc")?.as_u64()?,
-            next_seq: doc.get("next_seq")?.as_u64()?,
-            next_stamp: doc.get("next_stamp")?.as_u64()?,
-            halted: doc.get("halted")?.as_bool()?,
-            ..CoreSnapshot::default()
-        };
-        let regs = doc.get("arch_regs")?.as_array()?;
-        if regs.len() != NUM_ARCH_REGS {
-            return None;
-        }
-        for (slot, v) in snapshot.arch_regs.iter_mut().zip(regs) {
-            *slot = v.as_u64()?;
-        }
-        for page in doc.get("memory_pages")?.as_array()? {
-            let pn = page.get("pn")?.as_u64()?;
-            let bytes = hex_decode(page.get("data")?.as_str()?)?;
-            if bytes.len() as u64 != PAGE_SIZE {
-                return None;
-            }
-            snapshot.memory_pages.push((pn, bytes));
-        }
-        for pair in doc.get("page_table")?.as_array()? {
-            let pair = pair.as_array()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            snapshot
-                .page_table
-                .push((pair[0].as_u64()?, pair[1].as_u64()?));
-        }
-        for entry in doc.get("tlb")?.as_array()? {
-            let entry = entry.as_array()?;
-            if entry.len() != 3 {
-                return None;
-            }
-            snapshot
-                .tlb_entries
-                .push((entry[0].as_u64()?, entry[1].as_u64()?, entry[2].as_u64()?));
-        }
-        snapshot.tlb_tick = doc.get("tlb_tick")?.as_u64()?;
-        let hier = doc.get("hierarchy")?;
-        snapshot.hierarchy = HierarchySnapshot {
-            l1i: cache_from_json(hier.get("l1i")?)?,
-            l1d: cache_from_json(hier.get("l1d")?)?,
-            l2: cache_from_json(hier.get("l2")?)?,
-            l3: match hier.get("l3")? {
-                Json::Null => None,
-                level => Some(cache_from_json(level)?),
-            },
-        };
-        let fe = doc.get("frontend")?;
-        snapshot.frontend = FrontEndSnapshot {
-            direction: DirectionSnapshot {
-                bimodal: hex_decode(fe.get("bimodal")?.as_str()?)?,
-                gshare: hex_decode(fe.get("gshare")?.as_str()?)?,
-                chooser: hex_decode(fe.get("chooser")?.as_str()?)?,
-                history: fe.get("history")?.as_u64()?,
-            },
-            btb: fe
-                .get("btb")?
-                .as_array()?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_array()?;
-                    if pair.len() != 2 {
-                        return None;
-                    }
-                    Some((pair[0].as_u64()?, pair[1].as_u64()?))
-                })
-                .collect::<Option<Vec<_>>>()?,
-            ras: fe
-                .get("ras")?
-                .as_array()?
-                .iter()
-                .map(Json::as_u64)
-                .collect::<Option<Vec<_>>>()?,
-        };
-        Some(Checkpoint {
-            machine: doc.get("machine")?.as_str()?.to_string(),
-            workload: doc.get("workload")?.as_str()?.to_string(),
-            inst_index: doc.get("inst_index")?.as_u64()?,
-            snapshot,
-        })
-    }
-}
-
-/// Compact cache-level encoding: geometry, LRU clock, and the valid
-/// lines only (see the module docs for why dropping invalid-line
-/// residue is exact).
-fn cache_to_json(level: &CacheSnapshot) -> Json {
-    Json::object([
-        ("lines", Json::from(level.lines.len() as u64)),
-        ("tick", Json::from(level.tick)),
-        (
-            "valid",
-            Json::Array(
-                level
-                    .lines
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| l.0)
-                    .map(|(idx, &(_, tag, stamp))| {
-                        Json::Array(vec![
-                            Json::from(idx as u64),
-                            Json::from(tag),
-                            Json::from(stamp),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn cache_from_json(doc: &Json) -> Option<CacheSnapshot> {
-    let count = usize::try_from(doc.get("lines")?.as_u64()?).ok()?;
-    let mut lines = vec![(false, 0u64, 0u64); count];
-    for triple in doc.get("valid")?.as_array()? {
-        let triple = triple.as_array()?;
-        if triple.len() != 3 {
-            return None;
-        }
-        let idx = usize::try_from(triple[0].as_u64()?).ok()?;
-        *lines.get_mut(idx)? = (true, triple[1].as_u64()?, triple[2].as_u64()?);
-    }
-    Some(CacheSnapshot {
-        lines,
-        tick: doc.get("tick")?.as_u64()?,
-    })
-}
-
-fn hex_encode(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(DIGITS[(b >> 4) as usize] as char);
-        out.push(DIGITS[(b & 0xf) as usize] as char);
-    }
-    out
-}
-
-fn hex_decode(text: &str) -> Option<Vec<u8>> {
-    let digits = text.as_bytes();
-    if !digits.len().is_multiple_of(2) {
-        return None;
-    }
-    let nibble = |d: u8| match d {
-        b'0'..=b'9' => Some(d - b'0'),
-        b'a'..=b'f' => Some(d - b'a' + 10),
-        _ => None,
-    };
-    digits
-        .chunks_exact(2)
-        .map(|pair| Some(nibble(pair[0])? << 4 | nibble(pair[1])?))
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> Checkpoint {
-        let mut snapshot = CoreSnapshot {
-            cycle: 12_345,
-            fetch_pc: 0x40_0040,
-            next_seq: 900,
-            next_stamp: 950,
-            halted: false,
-            ..CoreSnapshot::default()
-        };
-        snapshot.arch_regs[1] = u64::MAX; // full-width values survive
-        snapshot.arch_regs[31] = 0xdead_beef_cafe_f00d;
-        snapshot
-            .memory_pages
-            .push((0x800, vec![0xab; PAGE_SIZE as usize]));
-        snapshot.page_table.push((0x10, 0x20));
-        snapshot.tlb_entries.push((0x10, 0x20, 7));
-        snapshot.tlb_tick = 8;
-        snapshot.hierarchy.l1d = CacheSnapshot {
-            lines: vec![(false, 0, 0), (true, 0x123, 4), (false, 0, 0)],
-            tick: 5,
-        };
-        snapshot.hierarchy.l1i = CacheSnapshot {
-            lines: vec![(false, 0, 0); 4],
-            tick: 0,
-        };
-        snapshot.hierarchy.l2 = CacheSnapshot {
-            lines: vec![(true, 9, 1), (true, 8, 2)],
-            tick: 3,
-        };
-        snapshot.hierarchy.l3 = None;
-        snapshot.frontend.direction.bimodal = vec![0, 1, 2, 3];
-        snapshot.frontend.direction.gshare = vec![3, 2];
-        snapshot.frontend.direction.chooser = vec![1];
-        snapshot.frontend.direction.history = 0b1011;
-        snapshot.frontend.btb.push((0x1000, 0x2000));
-        snapshot.frontend.ras.push(0x3000);
-        Checkpoint {
-            machine: "paper_default".to_string(),
-            workload: "counting".to_string(),
-            inst_index: 5_000_000,
-            snapshot,
-        }
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let original = sample();
-        let doc = original.to_json();
-        let parsed = Checkpoint::from_json(&doc).expect("parses");
-        assert_eq!(parsed, original);
-        // Re-rendering the parsed checkpoint is byte-identical: the
-        // encoding is canonical.
-        assert_eq!(parsed.to_json().render(), doc.render());
-    }
-
-    #[test]
-    fn round_trip_canonicalizes_invalid_line_residue() {
-        let mut with_residue = sample();
-        // An invalidation leaves tag/stamp behind on an invalid line;
-        // the encoding drops it because it cannot affect behaviour.
-        with_residue.snapshot.hierarchy.l1d.lines[0] = (false, 0x999, 77);
-        let parsed = Checkpoint::from_json(&with_residue.to_json()).expect("parses");
-        assert_eq!(parsed.snapshot.hierarchy.l1d.lines[0], (false, 0, 0));
-        assert_eq!(
-            parsed.snapshot.hierarchy.l1d.lines[1], with_residue.snapshot.hierarchy.l1d.lines[1],
-            "valid lines survive exactly"
-        );
-    }
-
-    #[test]
-    fn rejects_wrong_schema_and_garbage() {
-        let mut doc = sample().to_json();
-        assert!(Checkpoint::from_json(&doc).is_some());
-        if let Json::Object(members) = &mut doc {
-            members[0].1 = Json::from("condspec-checkpoint-v0");
-        }
-        assert!(Checkpoint::from_json(&doc).is_none(), "wrong schema");
-        assert!(Checkpoint::from_json(&Json::Null).is_none());
-        assert!(Checkpoint::from_json(&Json::Object(Vec::new())).is_none());
-    }
-
-    #[test]
-    fn hex_round_trips() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        assert_eq!(hex_decode(&hex_encode(&bytes)).unwrap(), bytes);
-        assert!(hex_decode("0g").is_none());
-        assert!(hex_decode("abc").is_none());
-    }
 }

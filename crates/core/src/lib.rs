@@ -58,7 +58,7 @@ pub mod sampled;
 pub mod sim;
 pub mod tpbuf;
 
-pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
+pub use checkpoint::Checkpoint;
 pub use config::{DefenseConfig, MachineConfig, SimConfig};
 pub use defense::{ConditionalSpeculation, DependenceKinds, FilterMode, LruPolicy};
 pub use matrix::SecurityDependenceMatrix;

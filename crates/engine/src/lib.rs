@@ -46,7 +46,7 @@ pub use artifact::{JobSource, JobStatus, ManifestInfo, SweepDir, DEFAULT_ROOT};
 pub use cache::{ProgramCache, WorkerContext};
 pub use condspec_store::ResultStore;
 pub use job::{JobSpec, MachinePreset, Workload};
-pub use sampled::{checkpoint_store_key, run_sampled_bench, SampledBenchOutcome, SampledBenchSpec};
+pub use sampled::{run_sampled_bench, SampledBenchOutcome, SampledBenchSpec};
 pub use scheduler::{
     default_workers, run_jobs_claimed, run_jobs_stored, ClaimOptions, ClaimedJob, JobResult,
     JobTiming,

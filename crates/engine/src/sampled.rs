@@ -143,26 +143,6 @@ pub struct SampledBenchOutcome {
     pub store_hits: usize,
 }
 
-/// The persistent-store key a checkpoint object is filed under.
-/// Checkpoints are policy-agnostic (a quiesced boundary holds no
-/// defense transient state), so the identity names only the workload,
-/// the machine preset, the whole-program instruction count, and the
-/// capture position — one stored checkpoint serves every defense. The
-/// distinct `kind=checkpoint` prefix keeps checkpoint keys disjoint
-/// from every job key, and the shared code fingerprint invalidates
-/// them together with results when simulation semantics change.
-pub fn checkpoint_store_key(
-    workload: &str,
-    machine: &str,
-    total_insts: u64,
-    inst_index: u64,
-) -> String {
-    crate::hash::store_key(&format!(
-        "kind=checkpoint;workload={workload};machine={machine};\
-         total={total_insts};inst={inst_index}"
-    ))
-}
-
 fn window_field(doc: &Json, key: &str, index: usize) -> Result<u64, String> {
     doc.get(key)
         .and_then(Json::as_u64)
@@ -349,15 +329,6 @@ mod tests {
         assert_eq!(rerun.store_hits, n - 1);
         assert_eq!(rerun.report, cold.report);
         std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn checkpoint_keys_are_position_sensitive_and_disjoint_from_jobs() {
-        let a = checkpoint_store_key("gcc", "paper-default", 1000, 0);
-        let b = checkpoint_store_key("gcc", "paper-default", 1000, 500);
-        assert_ne!(a, b, "capture position changes the key");
-        let job = JobSpec::bench_window("gcc", DefenseConfig::Origin, 0).store_key();
-        assert_ne!(a, job, "checkpoints never alias window jobs");
     }
 
     #[test]

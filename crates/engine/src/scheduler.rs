@@ -413,9 +413,12 @@ fn heartbeat(
         }
         since_beat = Duration::ZERO;
         for slot in held {
-            let key = slot.lock().expect("heartbeat slot").clone();
-            if let Some(key) = key {
-                let _ = store.heartbeat(&key, &claim.owner);
+            // Renew under the slot lock: a worker clears its slot before
+            // it inserts and releases, so a renewal can never land after
+            // the release and bring the lease back.
+            let key = slot.lock().expect("heartbeat slot");
+            if let Some(key) = key.as_deref() {
+                let _ = store.heartbeat(key, &claim.owner);
             }
         }
     }

@@ -32,7 +32,6 @@
 //! | POST | `/api/jobs` | run one job `{"kind", ...}` synchronously |
 //! | GET  | `/api/trace` | Perfetto trace of one attack round |
 //! | GET  | `/api/timeseries` | windowed time-series of one benchmark |
-//! | GET  | `/api/checkpoints` | list stored checkpoint objects |
 //! | GET  | `/api/store/stats` | store stats + counters (metrics JSON) |
 //! | GET  | `/api/metrics` | daemon metrics registry |
 //! | POST | `/api/shutdown` | graceful stop |
@@ -209,7 +208,6 @@ fn handle_connection(
         ("POST", ["api", "jobs"]) => run_job(state, stream, &request),
         ("GET", ["api", "trace"]) => serve_trace(stream, &request),
         ("GET", ["api", "timeseries"]) => serve_timeseries(stream, &request),
-        ("GET", ["api", "checkpoints"]) => list_checkpoints(state, stream),
         ("GET", ["api", "store", "stats"]) => store_stats(state, stream),
         ("GET", ["api", "metrics"]) => metrics(state, stream),
         ("POST", ["api", "shutdown"]) => {
@@ -261,7 +259,6 @@ fn index_json() -> Json {
         "POST /api/jobs",
         "GET /api/trace",
         "GET /api/timeseries",
-        "GET /api/checkpoints",
         "GET /api/store/stats",
         "GET /api/metrics",
         "POST /api/shutdown",
@@ -739,35 +736,6 @@ fn serve_timeseries(stream: &mut TcpStream, request: &Request) -> io::Result<()>
     }
 }
 
-/// The checkpoint objects currently in the persistent store, in key
-/// order: one row per checkpoint with its store key, identity string,
-/// label, and payload size.
-fn list_checkpoints(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
-    let Some(store) = state.store() else {
-        return store_disabled(stream);
-    };
-    let entries = match store.list_checkpoints() {
-        Ok(entries) => entries,
-        Err(e) => return respond_json(stream, 500, &error_json(&e.to_string())),
-    };
-    let rows: Vec<Json> = entries
-        .iter()
-        .map(|entry| {
-            Json::object(vec![
-                ("key", Json::from(entry.key.as_str())),
-                ("identity", Json::from(entry.job.as_str())),
-                ("label", Json::from(entry.label.as_str())),
-                ("bytes", Json::from(entry.bytes)),
-            ])
-        })
-        .collect();
-    let doc = Json::object(vec![
-        ("count", Json::from(rows.len() as u64)),
-        ("checkpoints", Json::Array(rows)),
-    ]);
-    respond_json(stream, 200, &format!("{}\n", doc.render()))
-}
-
 /// Store stats and counters, rendered through the metrics registry.
 fn store_stats(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
     let Some(store) = state.store() else {
@@ -778,12 +746,7 @@ fn store_stats(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<(
         Err(e) => return respond_json(stream, 500, &error_json(&e.to_string())),
     };
     let mut registry = MetricsRegistry::new();
-    registry.set_counter("store.entries", stats.entries);
-    registry.set_counter("store.bytes", stats.bytes);
-    registry.set_counter("store.checkpoints", stats.checkpoints);
-    registry.set_counter("store.checkpoint_bytes", stats.checkpoint_bytes);
-    registry.set_counter("store.leases", stats.leases);
-    registry.set_counter("store.stray_tmp", stats.stray_tmp);
+    stats.fill_metrics(&mut registry);
     registry.set_counter("store.hits", state.store_hits_total.load(Ordering::Relaxed));
     registry.set_counter(
         "store.inserts",
@@ -810,12 +773,7 @@ fn metrics(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
     );
     if let Some(store) = state.store() {
         if let Ok(stats) = store.stats() {
-            registry.set_counter("store.entries", stats.entries);
-            registry.set_counter("store.bytes", stats.bytes);
-            registry.set_counter("store.checkpoints", stats.checkpoints);
-            registry.set_counter("store.checkpoint_bytes", stats.checkpoint_bytes);
-            registry.set_counter("store.leases", stats.leases);
-            registry.set_counter("store.stray_tmp", stats.stray_tmp);
+            stats.fill_metrics(&mut registry);
         }
     }
     respond_json(stream, 200, &format!("{}\n", registry.to_json().render()))

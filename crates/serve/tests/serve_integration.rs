@@ -719,42 +719,27 @@ fn daemon_round_trip_with_warm_store_second_submission() {
         "{sampled_report}"
     );
 
-    // Checkpoint objects: the listing starts empty, reflects inserts,
-    // and the store stats count checkpoints separately from results.
-    let (status, body) = get(addr, "/api/checkpoints");
+    // Both metric documents carry the same store scan, and neither
+    // counts checkpoints: a sampled run keeps them in memory and files
+    // only its window results.
+    let (status, stats_body) = get(addr, "/api/store/stats");
+    assert_eq!(status, 200, "{stats_body}");
+    let stats = Json::parse(&stats_body).expect("stats JSON");
+    let scan = stats.get("metrics").expect("metrics object");
+    let (status, body) = get(addr, "/api/metrics");
     assert_eq!(status, 200, "{body}");
-    let listing = Json::parse(&body).expect("checkpoints JSON");
-    assert_eq!(listing.get("count").and_then(Json::as_u64), Some(0));
-    let store = condspec_engine::ResultStore::open(&store_root);
-    let key = condspec_engine::checkpoint_store_key("gcc", "paper-default", 1000, 500);
-    store
-        .insert_checkpoint(
-            &key,
-            "kind=checkpoint;workload=gcc;machine=paper-default;total=1000;inst=500",
-            "gcc@500",
-            7,
-            &Json::object(vec![("schema", Json::from("condspec-checkpoint-v1"))]),
-        )
-        .expect("insert checkpoint");
-    let (status, body) = get(addr, "/api/checkpoints");
-    assert_eq!(status, 200, "{body}");
-    let listing = Json::parse(&body).expect("checkpoints JSON");
-    assert_eq!(listing.get("count").and_then(Json::as_u64), Some(1));
-    let row = listing
-        .get("checkpoints")
-        .and_then(Json::as_array)
-        .and_then(<[Json]>::first)
-        .expect("one row");
-    assert_eq!(row.get("key").and_then(Json::as_str), Some(key.as_str()));
-    assert_eq!(row.get("label").and_then(Json::as_str), Some("gcc@500"));
-    let (status, body) = get(addr, "/api/store/stats");
-    assert_eq!(status, 200, "{body}");
-    let stats = Json::parse(&body).expect("stats JSON");
-    let metrics = stats.get("metrics").expect("metrics object");
-    assert_eq!(
-        metrics.get("store.checkpoints").and_then(Json::as_u64),
-        Some(1)
-    );
+    let metrics = Json::parse(&body).expect("metrics JSON");
+    for name in [
+        "store.entries",
+        "store.bytes",
+        "store.leases",
+        "store.stray_tmp",
+    ] {
+        assert!(scan.get(name).is_some(), "{name} missing: {stats_body}");
+        assert_eq!(metrics.get(name), scan.get(name), "{name}: {body}");
+    }
+    assert!(scan.get("store.checkpoints").is_none());
+    assert!(metrics.get("store.checkpoints").is_none());
 
     // Single-job submission: a store hit for a job the sweep already ran.
     let (status, body) = post(

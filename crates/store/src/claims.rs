@@ -340,11 +340,10 @@ impl ResultStore {
         artifact: &Json,
         owner: &str,
     ) -> io::Result<()> {
-        let path = self.object_path(key);
-        if fs::metadata(&path).is_ok() {
+        if fs::metadata(self.object_path(key)).is_ok() {
             self.duplicate_inserts.fetch_add(1, Ordering::Relaxed);
         }
-        self.insert_at_owned(path, key, job, label, fingerprint, artifact, Some(owner))?;
+        self.insert_at_owned(key, job, label, fingerprint, artifact, Some(owner))?;
         let _ = self.release(key, owner);
         Ok(())
     }

@@ -21,14 +21,6 @@
 //!     "artifact": { ... the job's artifact document ... } }
 //! ```
 //!
-//! A parallel `checkpoints/` fan-out holds simulator checkpoints
-//! (`condspec-checkpoint-v1` documents from sampled runs) through the
-//! identical envelope machinery
-//! ([`ResultStore::insert_checkpoint`]/[`ResultStore::load_checkpoint`]),
-//! counted separately by [`ResultStore::stats`] and listable with
-//! [`ResultStore::list_checkpoints`]. [`ResultStore::verify`] and
-//! [`ResultStore::gc`] cover both directories.
-//!
 //! Robustness rules, in priority order:
 //!
 //! * **A damaged entry is a miss, never a panic.** Truncated files,
@@ -45,10 +37,13 @@
 //! * **Reads never require locks.** All bookkeeping is atomic counters;
 //!   the store is `Sync` and shared freely across the worker pool.
 //!
-//! A third fan-out, `claims/`, holds lease files for distributed work
+//! A second fan-out, `claims/`, holds lease files for distributed work
 //! claiming — any number of worker processes attach to one store root
 //! and drain a sweep without duplicating simulations. See the
-//! [`claims`] module docs for the protocol.
+//! [`claims`] module docs for the protocol. Simulator checkpoints are
+//! not stored: they live in memory only. A `checkpoints/` directory an
+//! older binary left under the root is never walked and is safe to
+//! delete.
 //!
 //! [`JobSpec`]: https://docs.rs/condspec-engine
 
@@ -91,21 +86,15 @@ pub struct ResultStore {
 }
 
 /// Shallow scan of a store: entry count and total payload bytes.
-/// Checkpoint objects (under `checkpoints/`) are counted separately
-/// from result entries (under `objects/`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// Result entries present (every `*.json` under `objects/`).
     pub entries: u64,
     /// Total bytes across those result entries.
     pub bytes: u64,
-    /// Checkpoint objects present (every `*.json` under `checkpoints/`).
-    pub checkpoints: u64,
-    /// Total bytes across those checkpoint objects.
-    pub checkpoint_bytes: u64,
     /// In-flight work leases (every `*.json` under `claims/`).
     pub leases: u64,
-    /// Stray temp files from interrupted writes (all directories).
+    /// Stray temp files from interrupted writes (both directories).
     pub stray_tmp: u64,
 }
 
@@ -113,31 +102,24 @@ impl StoreStats {
     /// The one-line summary `condspec store stats` prints.
     pub fn summary(&self, root: &Path) -> String {
         format!(
-            "store stats: {} entries, {} bytes, {} checkpoints, {} checkpoint bytes, \
-             {} leases, {} stray tmp files at {}",
+            "store stats: {} entries, {} bytes, {} leases, {} stray tmp files at {}",
             self.entries,
             self.bytes,
-            self.checkpoints,
-            self.checkpoint_bytes,
             self.leases,
             self.stray_tmp,
             root.display()
         )
     }
-}
 
-/// One checkpoint object, as listed by [`ResultStore::list_checkpoints`]
-/// (the serve daemon's `GET /api/checkpoints` rows).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointEntry {
-    /// The checkpoint's store key.
-    pub key: String,
-    /// The identity hash recorded at insert time.
-    pub job: String,
-    /// Human label (`<workload>@<inst_index>` by convention).
-    pub label: String,
-    /// On-disk envelope size in bytes.
-    pub bytes: u64,
+    /// Exports the scan into a [`MetricsRegistry`] under `store.*`
+    /// names, beside the session counters [`ResultStore::fill_metrics`]
+    /// writes.
+    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
+        registry.set_counter("store.entries", self.entries);
+        registry.set_counter("store.bytes", self.bytes);
+        registry.set_counter("store.leases", self.leases);
+        registry.set_counter("store.stray_tmp", self.stray_tmp);
+    }
 }
 
 /// Outcome of a deep [`ResultStore::verify`] scan.
@@ -210,10 +192,6 @@ impl ResultStore {
         self.root.join("objects")
     }
 
-    fn checkpoints_dir(&self) -> PathBuf {
-        self.root.join("checkpoints")
-    }
-
     fn keyed_path(base: PathBuf, key: &str) -> PathBuf {
         if key.len() >= 2
             && key
@@ -234,13 +212,6 @@ impl ResultStore {
         Self::keyed_path(self.objects_dir(), key)
     }
 
-    /// The on-disk path for a checkpoint key, under the parallel
-    /// `checkpoints/` fan-out. Same key validation as
-    /// [`ResultStore::object_path`].
-    pub fn checkpoint_path(&self, key: &str) -> PathBuf {
-        Self::keyed_path(self.checkpoints_dir(), key)
-    }
-
     /// Loads the artifact stored under `key`, or `None` on any miss:
     /// absent entry, truncated/unparseable file, envelope mismatch, or
     /// payload-checksum failure. Damaged entries additionally bump the
@@ -249,14 +220,7 @@ impl ResultStore {
     ///
     /// [`insert`]: ResultStore::insert
     pub fn load(&self, key: &str) -> Option<Json> {
-        self.load_at(self.object_path(key), key)
-    }
-
-    /// [`ResultStore::load`] against the `checkpoints/` directory: the
-    /// serialized `condspec-checkpoint-v1` document stored under `key`,
-    /// with the same damage-is-a-miss semantics and counters.
-    pub fn load_checkpoint(&self, key: &str) -> Option<Json> {
-        self.load_at(self.checkpoint_path(key), key)
+        self.load_with_origin(key).map(|(doc, _)| doc)
     }
 
     /// [`ResultStore::load`] that also returns the owner id recorded by
@@ -266,30 +230,11 @@ impl ResultStore {
     /// [`insert`]: ResultStore::insert
     /// [`insert_claimed`]: ResultStore::insert_claimed
     pub fn load_with_origin(&self, key: &str) -> Option<(Json, Option<String>)> {
-        match self.load_envelope(self.object_path(key), key) {
-            Ok(envelope) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                let owner = envelope.owner.clone();
-                envelope.into_artifact().map(|doc| (doc, owner))
-            }
-            Err(LoadMiss::Absent) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Err(LoadMiss::Damaged(_)) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn load_at(&self, path: PathBuf, key: &str) -> Option<Json> {
-        match self.load_envelope(path, key) {
+        match self.load_envelope(key) {
             Ok(envelope) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 // Envelope was fully validated; artifact is present.
-                envelope.into_artifact()
+                envelope.artifact.map(|doc| (doc, envelope.owner))
             }
             Err(LoadMiss::Absent) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -303,8 +248,8 @@ impl ResultStore {
         }
     }
 
-    fn load_envelope(&self, path: PathBuf, key: &str) -> Result<Envelope, LoadMiss> {
-        let text = match fs::read_to_string(&path) {
+    fn load_envelope(&self, key: &str) -> Result<Envelope, LoadMiss> {
+        let text = match fs::read_to_string(self.object_path(key)) {
             Ok(t) => t,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(LoadMiss::Absent),
             Err(e) => return Err(LoadMiss::Damaged(e.to_string())),
@@ -340,45 +285,11 @@ impl ResultStore {
         fingerprint: u64,
         artifact: &Json,
     ) -> io::Result<()> {
-        self.insert_at_owned(
-            self.object_path(key),
-            key,
-            job,
-            label,
-            fingerprint,
-            artifact,
-            None,
-        )
+        self.insert_at_owned(key, job, label, fingerprint, artifact, None)
     }
 
-    /// [`ResultStore::insert`] against the `checkpoints/` directory:
-    /// atomically writes the serialized checkpoint document under `key`
-    /// through the same envelope machinery, so checkpoints are
-    /// content-addressed and shareable across processes like any other
-    /// store object.
-    pub fn insert_checkpoint(
-        &self,
-        key: &str,
-        job: &str,
-        label: &str,
-        fingerprint: u64,
-        checkpoint: &Json,
-    ) -> io::Result<()> {
-        self.insert_at_owned(
-            self.checkpoint_path(key),
-            key,
-            job,
-            label,
-            fingerprint,
-            checkpoint,
-            None,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert_at_owned(
         &self,
-        path: PathBuf,
         key: &str,
         job: &str,
         label: &str,
@@ -386,6 +297,7 @@ impl ResultStore {
         artifact: &Json,
         owner: Option<&str>,
     ) -> io::Result<()> {
+        let path = self.object_path(key);
         let dir = path.parent().expect("object paths always have a shard dir");
         fs::create_dir_all(dir)?;
         let envelope = Envelope {
@@ -470,12 +382,10 @@ impl ResultStore {
         Self::walk_dir(&self.objects_dir())
     }
 
-    fn walk_checkpoints(&self) -> io::Result<Vec<PathBuf>> {
-        Self::walk_dir(&self.checkpoints_dir())
-    }
-
-    /// Shallow scan: result-entry and checkpoint counts, total bytes,
-    /// stray temp files.
+    /// Shallow scan: result-entry count, total bytes, leases, stray
+    /// temp files. A file that vanishes between the listing and its
+    /// `metadata` — an insert renaming its temp file into place — is
+    /// skipped, so a scan never fails while the store is being written.
     ///
     /// # Errors
     ///
@@ -483,21 +393,16 @@ impl ResultStore {
     pub fn stats(&self) -> io::Result<StoreStats> {
         let mut stats = StoreStats::default();
         for path in self.walk_entries()? {
-            let len = fs::metadata(&path)?.len();
+            let len = match fs::metadata(&path) {
+                Ok(meta) => meta.len(),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                Err(e) => return Err(e),
+            };
             if path.extension().is_some_and(|x| x == "tmp") {
                 stats.stray_tmp += 1;
             } else if path.extension().is_some_and(|x| x == "json") {
                 stats.entries += 1;
                 stats.bytes += len;
-            }
-        }
-        for path in self.walk_checkpoints()? {
-            let len = fs::metadata(&path)?.len();
-            if path.extension().is_some_and(|x| x == "tmp") {
-                stats.stray_tmp += 1;
-            } else if path.extension().is_some_and(|x| x == "json") {
-                stats.checkpoints += 1;
-                stats.checkpoint_bytes += len;
             }
         }
         for path in Self::walk_dir(&self.claims_dir())? {
@@ -510,36 +415,6 @@ impl ResultStore {
         Ok(stats)
     }
 
-    /// Lists every checkpoint object in the store, in key order.
-    /// Damaged envelopes are skipped (a listing must never fail on one
-    /// corrupt file — the deep scan for that is [`ResultStore::verify`]).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error walking the `checkpoints/` directory.
-    pub fn list_checkpoints(&self) -> io::Result<Vec<CheckpointEntry>> {
-        let mut listed = Vec::new();
-        for path in self.walk_checkpoints()? {
-            if path.extension().is_none_or(|x| x != "json") {
-                continue;
-            }
-            let bytes = fs::metadata(&path)?.len();
-            let Ok(text) = fs::read_to_string(&path) else {
-                continue;
-            };
-            let Ok(envelope) = Envelope::parse(&text) else {
-                continue;
-            };
-            listed.push(CheckpointEntry {
-                key: envelope.key,
-                job: envelope.job,
-                label: envelope.label,
-                bytes,
-            });
-        }
-        Ok(listed)
-    }
-
     /// Deep scan: parses every entry and re-checks its envelope (schema,
     /// key-vs-filename, payload checksum). A bit-flipped artifact fails
     /// its `payload_fnv` and lands in [`VerifyReport::bad`].
@@ -550,9 +425,7 @@ impl ResultStore {
     /// reported in `bad`, not returned as errors.
     pub fn verify(&self) -> io::Result<VerifyReport> {
         let mut report = VerifyReport::default();
-        let mut paths = self.walk_entries()?;
-        paths.extend(self.walk_checkpoints()?);
-        for path in paths {
+        for path in self.walk_entries()? {
             if path.extension().is_none_or(|x| x != "json") {
                 continue;
             }
@@ -609,9 +482,7 @@ impl ResultStore {
     ) -> io::Result<GcReport> {
         let keep = hex16(keep_fingerprint);
         let mut report = GcReport::default();
-        let mut paths = self.walk_entries()?;
-        paths.extend(self.walk_checkpoints()?);
-        for path in paths {
+        for path in self.walk_entries()? {
             let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             if path.extension().is_some_and(|x| x == "tmp") {
                 fs::remove_file(&path)?;
@@ -747,10 +618,6 @@ impl Envelope {
             artifact: Some(artifact),
         })
     }
-
-    fn into_artifact(self) -> Option<Json> {
-        self.artifact
-    }
 }
 
 #[cfg(test)]
@@ -812,6 +679,10 @@ mod tests {
         store
             .insert("bb00bb00bb00bb00", "j2", "b", 1, &artifact(2))
             .unwrap();
+        // A `checkpoints/` tree left by an older binary is never walked.
+        let old_shard = root.join("checkpoints").join("cc");
+        fs::create_dir_all(&old_shard).unwrap();
+        fs::write(old_shard.join("cc00cc00cc00cc00.json"), "not an envelope").unwrap();
         let stats = store.stats().expect("stats");
         assert_eq!(stats.entries, 2);
         assert!(stats.bytes > 0);
@@ -820,6 +691,8 @@ mod tests {
         let verify = store.verify().expect("verify");
         assert_eq!((verify.checked, verify.ok), (2, 2));
         assert!(verify.is_clean());
+        assert_eq!(store.gc(1).expect("gc").removed, 0);
+        assert!(old_shard.join("cc00cc00cc00cc00.json").is_file());
         fs::remove_dir_all(&root).ok();
     }
 
@@ -842,66 +715,6 @@ mod tests {
         assert!(report.bytes_freed > 0);
         assert_eq!(store.load("bb00bb00bb00bb00"), Some(artifact(2)));
         assert_eq!(store.load("aa00aa00aa00aa00"), None);
-        fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn checkpoints_live_beside_results_without_colliding() {
-        let root = scratch("checkpoints");
-        let store = ResultStore::open(&root);
-        let key = "cc00cc00cc00cc00";
-        // The same key as a result and as a checkpoint are distinct
-        // objects: the two directories never alias.
-        store
-            .insert(key, "j1", "gcc/origin", 1, &artifact(1))
-            .unwrap();
-        store
-            .insert_checkpoint(key, "j1", "gcc@0", 1, &artifact(2))
-            .unwrap();
-        assert_eq!(store.load(key), Some(artifact(1)));
-        assert_eq!(store.load_checkpoint(key), Some(artifact(2)));
-        assert_eq!(store.load_checkpoint("dd00dd00dd00dd00"), None);
-
-        let stats = store.stats().expect("stats");
-        assert_eq!((stats.entries, stats.checkpoints), (1, 1));
-        assert!(stats.checkpoint_bytes > 0);
-        assert!(stats.summary(store.root()).contains("1 checkpoints"));
-
-        let listed = store.list_checkpoints().expect("list");
-        assert_eq!(
-            listed,
-            vec![CheckpointEntry {
-                key: key.to_string(),
-                job: "j1".to_string(),
-                label: "gcc@0".to_string(),
-                bytes: stats.checkpoint_bytes,
-            }]
-        );
-
-        let verify = store.verify().expect("verify");
-        assert_eq!((verify.checked, verify.ok), (2, 2), "both dirs scanned");
-
-        // Malformed checkpoint keys stay inside the store too.
-        assert!(store
-            .checkpoint_path("../../etc/passwd")
-            .starts_with(root.join("checkpoints")));
-        fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn gc_covers_the_checkpoint_directory() {
-        let root = scratch("gc-checkpoints");
-        let store = ResultStore::open(&root);
-        store
-            .insert_checkpoint("aa00aa00aa00aa00", "j1", "gcc@0", 1, &artifact(1))
-            .unwrap();
-        store
-            .insert_checkpoint("bb00bb00bb00bb00", "j2", "gcc@9", 2, &artifact(2))
-            .unwrap();
-        let report = store.gc(2).expect("gc");
-        assert_eq!((report.kept, report.removed), (1, 1));
-        assert_eq!(store.load_checkpoint("aa00aa00aa00aa00"), None);
-        assert_eq!(store.load_checkpoint("bb00bb00bb00bb00"), Some(artifact(2)));
         fs::remove_dir_all(&root).ok();
     }
 

@@ -1,12 +1,14 @@
 //! Robustness properties of the persistent result store: concurrent
-//! same-key inserts, lease races between handles, corruption tolerance,
-//! hostile file contents, and deep verification.
+//! same-key inserts, lease races between handles, scans racing a
+//! writer, corruption tolerance, hostile file contents, and deep
+//! verification.
 
 use condspec_stats::json::MAX_DEPTH;
 use condspec_stats::{Json, SplitMix64};
 use condspec_store::{ClaimStatus, ResultStore};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -116,6 +118,48 @@ fn two_handles_on_one_root_never_share_a_lease() {
     fs::remove_dir_all(&root).ok();
 }
 
+/// `stats` lists a shard, then reads the size of every file it listed;
+/// an insert renames its temp file away between those two steps. A scan
+/// that races a writer skips the vanished file instead of failing.
+#[test]
+fn stats_never_fails_while_a_writer_inserts() {
+    let root = scratch("stats-race");
+    fs::remove_dir_all(&root).ok();
+    let store = ResultStore::open(&root);
+    // Every key lands in the `ab` shard, the one directory the scan lists.
+    let keys: Vec<String> = (0..16u64).map(|i| format!("ab{i:014x}")).collect();
+    let stop = AtomicBool::new(false);
+    let failures: Vec<String> = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                for key in &keys {
+                    store
+                        .insert(key, key, "race", 42, &artifact())
+                        .expect("insert");
+                }
+            }
+        });
+        while store.inserts() == 0 && !writer.is_finished() {
+            std::thread::yield_now();
+        }
+        let failures = (0..500)
+            .filter_map(|_| store.stats().err())
+            .map(|e| e.to_string())
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        failures
+    });
+    assert!(
+        failures.is_empty(),
+        "{} of 500 scans failed, first: {}",
+        failures.len(),
+        failures[0]
+    );
+    let stats = store.stats().expect("quiet scan");
+    assert_eq!((stats.entries, stats.stray_tmp), (keys.len() as u64, 0));
+    fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn truncated_entry_is_a_miss_and_reinsert_repairs_it() {
     let root = scratch("truncated");
@@ -186,35 +230,20 @@ fn verify_flags_a_bit_flipped_entry() {
     fs::remove_dir_all(&root).ok();
 }
 
-/// Seeded hostile contents for the store's three readers — objects,
-/// checkpoints and leases — and for the JSON parser beneath them: every
-/// truncation and every nest past [`MAX_DEPTH`] reads as a parse error
-/// or a miss, and a flipped bit never panics. A flip outside the
-/// checksummed payload (a label, say) can leave an envelope valid, so a
-/// flipped object or checkpoint reads as a miss or as the original
-/// artifact, never as a damaged one.
+/// Seeded hostile contents for the store's two readers — objects and
+/// leases — and for the JSON parser beneath them: every truncation and
+/// every nest past [`MAX_DEPTH`] reads as a parse error or a miss, and
+/// a flipped bit never panics. A flip outside the checksummed payload
+/// (a label, say) can leave an envelope valid, so a flipped object
+/// reads as a miss or as the original artifact, never as a damaged one.
 #[test]
 fn hostile_files_read_as_misses_and_never_panic() {
     let root = scratch("hostile");
     fs::remove_dir_all(&root).ok();
     let store = ResultStore::open(&root);
-    let checkpoint = Json::object(vec![
-        ("schema", Json::from("condspec-checkpoint-v1")),
-        ("inst_index", Json::from(54_790u64)),
-        (
-            "memory_pages",
-            Json::Array(vec![Json::object(vec![
-                ("pn", Json::from(16u64)),
-                ("data", Json::from("00ff10")),
-            ])]),
-        ),
-    ]);
     store
         .insert(KEY, "0123456789abcdef", "gcc/origin", 42, &artifact())
         .expect("insert");
-    store
-        .insert_checkpoint(KEY, "kind=checkpoint", "gcc@54790", 42, &checkpoint)
-        .expect("insert checkpoint");
     store
         .try_claim(KEY, "shard-a", Duration::from_secs(3600))
         .expect("claim");
@@ -222,7 +251,6 @@ fn hostile_files_read_as_misses_and_never_panic() {
     let mut rng = SplitMix64::new(0x5eed_f00d);
     let files = [
         ("object", store.object_path(KEY)),
-        ("checkpoint", store.checkpoint_path(KEY)),
         ("lease", store.claim_path(KEY)),
     ];
     for (reader, path) in &files {
@@ -251,10 +279,6 @@ fn hostile_files_read_as_misses_and_never_panic() {
                 "object" => {
                     let doc = store.load(KEY);
                     assert!(doc.is_none() || (!must_fail && doc == Some(artifact())));
-                }
-                "checkpoint" => {
-                    let doc = store.load_checkpoint(KEY);
-                    assert!(doc.is_none() || (!must_fail && doc.as_ref() == Some(&checkpoint)));
                 }
                 _ => {
                     let renewed = store.heartbeat(KEY, "shard-a").expect("heartbeat I/O");
