@@ -234,6 +234,44 @@ rm "$leaks_out.rerun"
 ./target/release/condspec leaks --all --out target/perf-smoke/leaks.json > /dev/null
 echo "leak smoke ok: $(grep 'security claim' "$leaks_out")"
 
+echo "==> security sweep digests (table4 --jobs 1 and leaks --jobs 2 match perfbench/reference/security-artifacts.sha256)"
+# An engine worker keeps one simulator per machine and resets it in
+# place between jobs, whatever their defense: with one worker, a single
+# simulator runs all 40 table4 jobs; two workers split the 16 leak
+# probes. No store is involved, so every artifact is simulated here and
+# must equal the committed reference byte for byte (compared by sha256;
+# the reference file is only read).
+sec_table4="target/perf-smoke/security-table4"
+sec_leaks="target/perf-smoke/security-leaks"
+rm -rf "$sec_table4" "$sec_leaks"
+./target/release/condspec sweep table4 --jobs 1 --root "$sec_table4" \
+    > /dev/null 2> target/perf-smoke/security-table4.log
+./target/release/condspec sweep leaks --jobs 2 --root "$sec_leaks" \
+    > /dev/null 2> target/perf-smoke/security-leaks.log
+python3 - perfbench/reference/security-artifacts.sha256 "$sec_table4" "$sec_leaks" <<'EOF'
+import hashlib, pathlib, sys
+
+want = {}
+for line in open(sys.argv[1]):
+    if line.strip() and not line.startswith("#"):
+        name, digest = line.split()
+        want[name] = digest
+got = {}
+for root in sys.argv[2:]:
+    (sweep_dir,) = [d for d in pathlib.Path(root).iterdir() if d.is_dir()]
+    for f in sweep_dir.glob("*.json"):
+        if f.name != "manifest.json":
+            got[f.name] = hashlib.sha256(f.read_bytes()).hexdigest()
+assert len(want) == 56, f"the reference lists {len(want)} artifacts, expected 56"
+missing = sorted(set(want) - set(got))
+extra = sorted(set(got) - set(want))
+assert not missing and not extra, f"missing {missing}, unexpected {extra}"
+wrong = sorted(name for name in want if got[name] != want[name])
+assert not wrong, f"artifacts differ from the reference: {wrong}"
+print(f"security digests ok: {len(want)}/{len(want)} artifacts match the reference")
+EOF
+rm -rf "$sec_table4" "$sec_leaks"
+
 echo "==> observation digests (timeseries, trace, sampled-run and leaks outputs match ci/observation-digests.sha256)"
 # The smokes above only compare two runs of the same binary, which
 # cannot see a change that alters what the simulator observes. These

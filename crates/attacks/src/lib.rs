@@ -31,5 +31,6 @@ pub mod channel;
 pub mod spectre;
 
 pub use spectre::{
-    leak_probe, run_variant, traced_variant_round, AttackOutcome, AttackScenario, LeakProbeOutcome,
+    leak_probe, leak_probe_on, run_variant, run_variant_on, traced_variant_round, AttackOutcome,
+    AttackScenario, LeakProbeOutcome,
 };

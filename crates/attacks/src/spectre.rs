@@ -120,11 +120,12 @@ impl AttackScenario {
 
     /// Runs the scenario against a fresh machine with `defense`.
     pub fn run(&self, defense: DefenseConfig) -> AttackOutcome {
-        let mut sim = Simulator::new(SimConfig::new(defense));
-        self.run_on(&mut sim)
+        self.run_on(&mut Simulator::new(SimConfig::new(defense)))
     }
 
-    /// Runs the scenario on an existing machine.
+    /// Runs the scenario on an existing machine. On a cold one (fresh,
+    /// or reset in place) the outcome equals [`AttackScenario::run`]
+    /// under that machine's defense.
     pub fn run_on(&self, sim: &mut Simulator) -> AttackOutcome {
         match self {
             AttackScenario::FlushReloadShared => {
@@ -168,17 +169,23 @@ enum Readout {
 
 /// Runs the variant-specific attack (Flush+Reload channel for the three
 /// page-stride variants, Prime+Probe for the set-stride one), as used by
-/// the per-variant security analysis.
+/// the per-variant security analysis, on a fresh machine with `defense`.
 pub fn run_variant(kind: GadgetKind, defense: DefenseConfig) -> AttackOutcome {
-    let mut sim = Simulator::new(SimConfig::new(defense));
+    run_variant_on(kind, &mut Simulator::new(SimConfig::new(defense)))
+}
+
+/// [`run_variant`] on an existing machine. On a cold one (fresh, or
+/// reset in place) the outcome equals [`run_variant`] under that
+/// machine's defense.
+pub fn run_variant_on(kind: GadgetKind, sim: &mut Simulator) -> AttackOutcome {
     match kind {
         GadgetKind::V1 | GadgetKind::V2 | GadgetKind::V4 => {
-            flush_style_attack(&mut sim, kind, Readout::Reload)
+            flush_style_attack(sim, kind, Readout::Reload)
         }
         GadgetKind::V1SetStride | GadgetKind::V1SamePage => {
-            prime_style_attack(&mut sim, kind, Readout::ProbeCount)
+            prime_style_attack(sim, kind, Readout::ProbeCount)
         }
-        GadgetKind::Rsb => rsb_attack(&mut sim),
+        GadgetKind::Rsb => rsb_attack(sim),
     }
 }
 
@@ -255,8 +262,15 @@ const LEAK_TRACE_EVENTS: usize = 1 << 17;
 /// the pipeline, not from an attacker reading the channel back. The
 /// planted secret's physical bytes are the taint source.
 pub fn leak_probe(kind: GadgetKind, defense: DefenseConfig) -> LeakProbeOutcome {
+    leak_probe_on(kind, &mut Simulator::new(SimConfig::new(defense)))
+}
+
+/// [`leak_probe`] on an existing machine. On a cold one (fresh, or reset
+/// in place) the outcome equals [`leak_probe`] under that machine's
+/// defense. The oracle and the trace are switched off again before
+/// returning.
+pub fn leak_probe_on(kind: GadgetKind, sim: &mut Simulator) -> LeakProbeOutcome {
     let gadget = SpectreGadget::build(kind);
-    let mut sim = Simulator::new(SimConfig::new(defense));
 
     // Warm + train exactly like the end-to-end attacks.
     let pollution = (kind == GadgetKind::Rsb).then(|| {
@@ -266,7 +280,7 @@ pub fn leak_probe(kind: GadgetKind, defense: DefenseConfig) -> LeakProbeOutcome 
     });
     match kind {
         GadgetKind::V1 | GadgetKind::V1SamePage | GadgetKind::V1SetStride => {
-            train(&mut sim, &gadget, 8);
+            train(sim, &gadget, 8);
         }
         GadgetKind::V2 | GadgetKind::V4 => {
             sim.load_program(gadget.program.clone());
@@ -301,16 +315,16 @@ pub fn leak_probe(kind: GadgetKind, defense: DefenseConfig) -> LeakProbeOutcome 
         sim.load_program(gadget.program.clone());
         sim.write_memory(gadget.input_addr, gadget.attack_input, 8);
         channel::flush_region(
-            &mut sim,
+            sim,
             gadget.probe_base,
             gadget.probe_stride,
             gadget.probe_slots,
         );
         if let Some(len) = gadget.len_addr {
-            channel::flush_line(&mut sim, len);
+            channel::flush_line(sim, len);
         }
         if let Some(slot) = gadget.pointer_slot {
-            channel::flush_line(&mut sim, slot);
+            channel::flush_line(sim, slot);
         }
         if kind == GadgetKind::V2 {
             let jr = gadget.indirect_pc.expect("v2 has an indirect jump");

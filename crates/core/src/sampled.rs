@@ -173,7 +173,7 @@ pub fn count_insts(
     if opts.checkpoints == 0 {
         return Err("a sampled run needs at least one checkpoint".to_string());
     }
-    sim.reset_in_place();
+    sim.reset_in_place(*sim.config());
     sim.load_program(Arc::clone(program));
     let count = sim.run_functional(opts.max_insts)?;
     if count.exit != FunctionalExit::Halted {
@@ -207,7 +207,7 @@ pub fn capture_windows(
     indices: impl IntoIterator<Item = usize>,
 ) -> Result<Vec<WindowPlan>, String> {
     let segments = plan_segments(total_insts, opts.checkpoints);
-    sim.reset_in_place();
+    sim.reset_in_place(*sim.config());
     sim.load_program(Arc::clone(program));
     let mut windows = Vec::new();
     let mut position = 0u64;

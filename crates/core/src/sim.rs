@@ -212,14 +212,30 @@ impl Simulator {
         }
     }
 
-    /// Returns the machine to its freshly-constructed state without
-    /// reallocating simulator structures: cold caches and predictors,
-    /// zeroed clock and statistics, empty memory (see
-    /// [`Core::reset_cold`]). The security policy is rebuilt from the
-    /// configuration. Used by the sweep engine to run many independent
-    /// jobs on one simulator; a reset machine must be observationally
-    /// identical to a fresh [`Simulator::new`] with the same config.
-    pub fn reset_in_place(&mut self) {
+    /// Returns the machine to the freshly-constructed state of `config`
+    /// without reallocating simulator structures: cold caches and
+    /// predictors, zeroed clock and statistics, empty memory (see
+    /// [`Core::reset_cold`]). `config` may name another defense, LRU
+    /// policy or dependence set than the last one: those live only in
+    /// the security policy, which is rebuilt from `config` on every
+    /// reset. Used by the sweep engine to run many independent jobs on
+    /// one simulator; a reset machine must be observationally identical
+    /// to a fresh [`Simulator::new`] with `config`.
+    ///
+    /// Each cache clears only the sets written since the last reset,
+    /// so a short job's reset costs about what the job touched rather
+    /// than a rewrite of every cache line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.machine` differs from this simulator's
+    /// machine: structure sizes are fixed at construction.
+    pub fn reset_in_place(&mut self, config: SimConfig) {
+        assert_eq!(
+            config.machine, self.config.machine,
+            "reset_in_place keeps the machine; build a new simulator for another"
+        );
+        self.config = config;
         let policy = Self::build_policy(&self.config);
         self.core.reset_cold(policy);
     }
@@ -653,22 +669,43 @@ mod tests {
             b.data_u64s(0x20000, &[7, 0]);
             Arc::new(b.build().unwrap())
         };
+        // Every (dirtied under, reset into) pair of defenses: the sweep
+        // engine keeps one simulator per machine across defenses.
         for defense in DefenseConfig::ALL {
-            let mut fresh = Simulator::new(SimConfig::new(defense));
+            let config = SimConfig::new(defense);
+            let mut fresh = Simulator::new(config);
             let expected = fresh.run_job(Some(&counting_program(20)), &job(), 1_000_000);
 
-            let mut reused = Simulator::new(SimConfig::new(defense));
-            // Dirty every structure with a different job and stray writes.
-            reused.run_job(Some(&job()), &counting_program(300), 1_000_000);
-            reused.write_memory(0x9000, 77, 8);
-            reused.reset_in_place();
-            assert_eq!(reused.read_memory(0x9000, 8), 0, "memory must forget");
-            let report = reused.run_job(Some(&counting_program(20)), &job(), 1_000_000);
-            assert_eq!(
-                report, expected,
-                "reset-in-place must equal fresh under {defense}"
-            );
+            for dirtied_under in DefenseConfig::ALL {
+                let mut reused = Simulator::new(SimConfig::new(dirtied_under));
+                // Dirty every structure with a different job, stray
+                // writes and an oracle left switched on.
+                reused
+                    .core_mut()
+                    .enable_taint(condspec_pipeline::TaintConfig::range(0x20000, 8));
+                reused.core_mut().enable_trace(64);
+                reused.run_job(Some(&job()), &counting_program(300), 1_000_000);
+                reused.write_memory(0x9000, 77, 8);
+                reused.reset_in_place(config);
+                assert_eq!(*reused.config(), config);
+                assert_eq!(reused.read_memory(0x9000, 8), 0, "memory must forget");
+                let report = reused.run_job(Some(&counting_program(20)), &job(), 1_000_000);
+                assert_eq!(
+                    report, expected,
+                    "dirtied under {dirtied_under}, reset into {defense}: must equal fresh"
+                );
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps the machine")]
+    fn reset_in_place_refuses_another_machine() {
+        let mut sim = Simulator::new(SimConfig::new(DefenseConfig::Origin));
+        sim.reset_in_place(SimConfig::on_machine(
+            DefenseConfig::Origin,
+            MachineConfig::a57_like(),
+        ));
     }
 
     #[test]

@@ -92,7 +92,7 @@ fn stepped_reused_and_fast_forwarded_runs_are_identical() {
             }
             assert_eq!(observe(&stepped), expected, "{label}: stepped diverged");
 
-            reused.reset_in_place();
+            reused.reset_in_place(config);
             reused.run_to_halt(&program, BUDGET);
             assert_eq!(observe(&reused), expected, "{label}: reused diverged");
         }

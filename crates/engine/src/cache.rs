@@ -21,14 +21,17 @@
 //!
 //! [`WorkerContext`] is the per-worker companion: each scheduler worker
 //! owns one, holding a shared handle to the sweep's `ProgramCache` plus
-//! the worker's resident [`Simulator`]. Between jobs the simulator is
-//! reset in place ([`Simulator::reset_in_place`]) when the next job
-//! wants the same [`SimConfig`], and rebuilt only when the
-//! configuration actually changes — simulator state (caches, predictor
-//! tables, the event wheel) is allocated once per worker per
-//! configuration, not once per job. Reuse is observationally invisible:
-//! a reset simulator produces byte-identical artifacts to a fresh one,
-//! which the differential tests in this module assert.
+//! the worker's resident [`Simulator`], on which every job kind runs.
+//! Between jobs the simulator is reset in place
+//! ([`Simulator::reset_in_place`]) into the next job's [`SimConfig`]
+//! whenever that names the same machine, whatever its defense, LRU
+//! policy or dependence kinds, and rebuilt only when the machine
+//! changes. Simulator state (caches, predictor tables, the event wheel)
+//! is allocated once per worker per machine, not once per job, and a
+//! reset clears only the cache sets the previous job wrote. Reuse is
+//! observationally invisible: a reset simulator produces byte-identical
+//! artifacts to a fresh one, which the scheduler's differential tests
+//! assert.
 //!
 //! [`JobSpec`]: crate::JobSpec
 
@@ -57,6 +60,11 @@ pub(crate) struct WindowKey {
     /// Which segment the window measures.
     pub index: usize,
 }
+
+/// Why the program map's lock is never poisoned: a benchmark name is
+/// resolved before the lock is taken, and building a suite program
+/// cannot fail.
+const PROGRAMS_LOCK: &str = "no thread panics while holding the program map";
 
 /// A sweep-wide memo of built benchmark programs, shared across the
 /// worker pool behind an `Arc`.
@@ -92,19 +100,21 @@ impl ProgramCache {
     /// generation is cheap relative to simulation, and serializing
     /// first-builds guarantees each distinct key is built exactly once
     /// — the invariant the sweep's `program-cache:` log line and CI
-    /// assertion rely on.
+    /// assertion rely on. The name is resolved before the lock is
+    /// taken, so a job naming an unknown benchmark panics without
+    /// poisoning the cache for the rest of the pool.
     ///
     /// # Panics
     ///
     /// Panics on an unknown benchmark name (same contract as
     /// [`JobSpec::execute`](crate::JobSpec::execute)).
     pub fn get_or_build(&self, benchmark: &'static str, iterations: u64) -> Arc<Program> {
-        let mut map = self.programs.lock().unwrap();
+        let spec = by_name(benchmark).unwrap_or_else(|| panic!("unknown benchmark `{benchmark}`"));
+        let mut map = self.programs.lock().expect(PROGRAMS_LOCK);
         if let Some(program) = map.get(&(benchmark, iterations)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(program);
         }
-        let spec = by_name(benchmark).unwrap_or_else(|| panic!("unknown benchmark `{benchmark}`"));
         let program = Arc::new(build_program(&spec, iterations));
         map.insert((benchmark, iterations), Arc::clone(&program));
         self.builds.fetch_add(1, Ordering::Relaxed);
@@ -141,7 +151,7 @@ impl ProgramCache {
 
     /// Distinct programs currently held.
     pub fn len(&self) -> usize {
-        self.programs.lock().unwrap().len()
+        self.programs.lock().expect(PROGRAMS_LOCK).len()
     }
 
     /// Whether the cache holds no programs.
@@ -190,12 +200,13 @@ impl WorkerContext {
         &self.programs
     }
 
-    /// A simulator configured as `config`, reusing the worker's
-    /// resident simulator (reset in place) when its configuration
-    /// matches and rebuilding it otherwise.
+    /// A cold simulator configured as `config`: the worker's resident
+    /// simulator reset in place when it models the same machine (the
+    /// defense, LRU policy and dependence kinds may differ), a new one
+    /// otherwise.
     pub fn simulator(&mut self, config: SimConfig) -> &mut Simulator {
         match &mut self.sim {
-            Some(sim) if *sim.config() == config => sim.reset_in_place(),
+            Some(sim) if sim.config().machine == config.machine => sim.reset_in_place(config),
             slot => *slot = Some(Simulator::new(config)),
         }
         self.sim.as_mut().expect("slot was just filled")
@@ -217,7 +228,7 @@ impl WorkerContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use condspec::DefenseConfig;
+    use condspec::{DefenseConfig, MachineConfig};
 
     #[test]
     fn cache_builds_each_key_once() {
@@ -238,15 +249,16 @@ mod tests {
         let mut ctx = WorkerContext::solo();
         let baseline = SimConfig::new(DefenseConfig::Baseline);
         let origin = SimConfig::new(DefenseConfig::Origin);
+        let a57 = SimConfig::on_machine(DefenseConfig::Origin, MachineConfig::a57_like());
 
-        ctx.simulator(baseline);
+        ctx.simulator(baseline).write_memory(0x9000, 77, 8);
         assert!(ctx.has_simulator());
-        let first = ctx.simulator(baseline) as *const Simulator;
-        let again = ctx.simulator(baseline) as *const Simulator;
-        assert_eq!(first, again, "matching config reuses the same simulator");
-
         let swapped = ctx.simulator(origin);
-        assert_eq!(*swapped.config(), origin, "config change rebuilds");
+        assert_eq!(*swapped.config(), origin, "same machine: reset into origin");
+        assert_eq!(swapped.read_memory(0x9000, 8), 0, "the reset forgets");
+
+        let rebuilt = ctx.simulator(a57);
+        assert_eq!(*rebuilt.config(), a57, "machine change rebuilds");
 
         ctx.discard_simulator();
         assert!(!ctx.has_simulator());

@@ -16,7 +16,7 @@ use condspec::{
     leak_report_to_json, plan_one_window, run_timeseries, run_window, DefenseConfig,
     DependenceKinds, ExitReason, LruPolicy, MachineConfig, SampledOptions, SimConfig, Simulator,
 };
-use condspec_attacks::{leak_probe, run_variant, AttackScenario};
+use condspec_attacks::{leak_probe_on, run_variant_on, AttackScenario};
 use condspec_stats::Json;
 use condspec_workloads::spec::{build_program, by_name};
 use condspec_workloads::GadgetKind;
@@ -408,12 +408,15 @@ impl JobSpec {
     /// Runs the job to completion using `ctx`'s cached programs and
     /// resident simulator, and returns its artifact document.
     ///
-    /// Benchmark workloads fetch their warm-up and measured programs
-    /// from the shared [`ProgramCache`](crate::ProgramCache) and run on
-    /// the worker's reset-in-place simulator; window jobs also take
-    /// their handed-over checkpoint from it when there is one. Attack
-    /// and variant workloads orchestrate their own simulators and
-    /// ignore `ctx`.
+    /// Every workload runs on [`WorkerContext::simulator`]: the
+    /// worker's resident simulator reset in place into the job's
+    /// configuration, or a new one when the machine differs. Benchmark
+    /// workloads fetch their warm-up and measured programs from the
+    /// shared [`ProgramCache`](crate::ProgramCache); window jobs also
+    /// take their handed-over checkpoint from it when there is one.
+    /// Attack, variant and leak-probe workloads run on the
+    /// paper-default machine under the job's defense, as their
+    /// canonical key says.
     /// Reuse never changes results: the document contains only
     /// deterministic simulation results — never wall-clock times or
     /// hostnames — so artifacts are byte-identical however the sweep
@@ -465,7 +468,7 @@ impl JobSpec {
                 doc.push(("segment_len", Json::from(plan.segment_len)));
             }
             Workload::Attack { scenario } => {
-                let outcome = scenario.run(self.defense);
+                let outcome = scenario.run_on(ctx.simulator(SimConfig::new(self.defense)));
                 let defended = !outcome.leaked();
                 doc.push(("leaked", Json::from(outcome.leaked())));
                 doc.push(("defended", Json::from(defended)));
@@ -479,11 +482,11 @@ impl JobSpec {
                 ));
             }
             Workload::Variant { kind } => {
-                let outcome = run_variant(*kind, self.defense);
+                let outcome = run_variant_on(*kind, ctx.simulator(SimConfig::new(self.defense)));
                 doc.push(("leaked", Json::from(outcome.leaked())));
             }
             Workload::LeakProbe { kind } => {
-                let outcome = leak_probe(*kind, self.defense);
+                let outcome = leak_probe_on(*kind, ctx.simulator(SimConfig::new(self.defense)));
                 doc.push(("cache_leaked", Json::from(outcome.cache_leaked())));
                 doc.push(("leaks", leak_report_to_json(&outcome.leaks)));
                 doc.push(("leak_events", Json::from(outcome.events.len() as u64)));

@@ -160,7 +160,7 @@ pub(crate) enum Claiming<'a> {
 /// disturb any other job: its worker discards its resident simulator and
 /// moves on to the next queue entry. Every worker fetches benchmark
 /// programs from the shared `programs` cache and keeps its simulator
-/// between jobs (reset in place when the configuration matches); the
+/// between jobs (reset in place when the machine matches); the
 /// caller can read the cache's build/hit counters after the pool drains.
 ///
 /// When `store` is given, each worker looks the job up by
@@ -496,11 +496,11 @@ mod tests {
 
     #[test]
     fn shared_cache_builds_each_program_once_without_changing_results() {
-        // Three jobs over one benchmark: two defense configs, with the
+        // Three jobs over one benchmark: two machine presets, with the
         // first repeated so a single worker exercises both simulator
-        // reuse (reset in place) and rebuild (config change).
+        // reuse (reset in place) and rebuild (machine change).
         let mut other = tiny_job("gcc");
-        other.defense = DefenseConfig::Baseline;
+        other.machine = crate::job::MachinePreset::A57Like;
         let jobs = vec![tiny_job("gcc"), other, tiny_job("gcc")];
 
         // Reference: each job executed in isolation (its own cache and
@@ -535,6 +535,46 @@ mod tests {
             results[2].as_ref().expect("job after panic halts").render(),
             expected
         );
+    }
+
+    #[test]
+    fn an_unknown_benchmark_fails_only_its_own_job() {
+        // One worker shares one program cache across the three jobs: the
+        // first job's panic must not poison it for the next two.
+        let jobs = vec![tiny_job("nosuch"), tiny_job("gcc"), tiny_job("gcc")];
+        let expected = jobs[1].execute().render();
+        let results = run(&jobs, 1, |_, _| {});
+        assert_eq!(
+            results[0].as_ref().err().map(String::as_str),
+            Some("unknown benchmark `nosuch`")
+        );
+        for result in &results[1..] {
+            assert_eq!(
+                result.as_ref().map(Json::render).as_deref(),
+                Ok(expected.as_str())
+            );
+        }
+    }
+
+    #[test]
+    fn security_jobs_on_one_reused_simulator_match_fresh_runs() {
+        // One worker, so a single simulator, reset in place between
+        // jobs, serves every attack, variant and leak-probe job across
+        // all four defenses.
+        let jobs: Vec<JobSpec> = ["table4", "leaks"]
+            .into_iter()
+            .flat_map(|name| crate::Sweep::by_name(name).expect("built-in sweep").jobs)
+            .collect();
+        assert_eq!(jobs.len(), 56);
+        let pooled = run(&jobs, 1, |_, _| {});
+        for (job, result) in jobs.iter().zip(pooled) {
+            assert_eq!(
+                result.expect("security jobs halt").render(),
+                job.execute().render(),
+                "{}",
+                job.label()
+            );
+        }
     }
 
     #[test]

@@ -89,6 +89,13 @@ struct LineState {
 pub struct SetAssocCache {
     config: CacheConfig,
     lines: Vec<LineState>,
+    /// One bit per set, raised by the only writes that can leave a line
+    /// different from its reset value: [`SetAssocCache::fill`] and
+    /// [`SetAssocCache::restore_lines`]. (`promote` and `flush_line` act
+    /// on valid lines, which only a marked set holds, and `flush_all`
+    /// only clears `valid`.) [`SetAssocCache::reset`] clears exactly the
+    /// marked sets.
+    dirty: Vec<u64>,
     tick: u64,
     set_shift: u32,
     set_mask: u64,
@@ -105,6 +112,7 @@ impl SetAssocCache {
         SetAssocCache {
             config,
             lines: vec![LineState::default(); sets * config.ways],
+            dirty: vec![0; sets.div_ceil(64)],
             tick: 0,
             set_shift,
             set_mask: sets as u64 - 1,
@@ -114,10 +122,24 @@ impl SetAssocCache {
 
     /// Invalidates every line and rewinds the replacement clock,
     /// keeping the allocation: observationally identical to a fresh
-    /// [`SetAssocCache::new`] with the same geometry.
+    /// [`SetAssocCache::new`] with the same geometry. Only the sets
+    /// written since the last reset are cleared, so the cost follows
+    /// what the cache was used for, not its capacity.
     pub fn reset(&mut self) {
-        self.lines.fill(LineState::default());
+        let ways = self.config.ways;
+        for (word_index, word) in self.dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let set = word_index * 64 + bits.trailing_zeros() as usize;
+                self.lines[set * ways..(set + 1) * ways].fill(LineState::default());
+                bits &= bits - 1;
+            }
+        }
         self.tick = 0;
+    }
+
+    fn mark_dirty(&mut self, set: usize) {
+        self.dirty[set / 64] |= 1 << (set % 64);
     }
 
     /// The cache geometry.
@@ -208,6 +230,7 @@ impl SetAssocCache {
         };
         let victim = self.lines[base + victim_way];
         let evicted = victim.valid.then(|| self.line_base(set, victim.tag));
+        self.mark_dirty(set);
         self.tick += 1;
         self.lines[base + victim_way] = LineState {
             valid: true,
@@ -289,23 +312,26 @@ impl SetAssocCache {
         for (slot, &(valid, tag, stamp)) in self.lines.iter_mut().zip(lines) {
             *slot = LineState { valid, tag, stamp };
         }
+        for set in 0..self.config.sets() {
+            self.mark_dirty(set);
+        }
         self.tick = tick;
     }
 
-    /// All set-aligned addresses that map to the same set as `addr`,
-    /// starting at `search_base`, useful for building eviction sets in
-    /// Prime+Probe. Returns `count` distinct line addresses.
+    /// The first `count` line addresses at or after the line holding
+    /// `search_base` that map to the same set as `addr`, in ascending
+    /// order: eviction sets for Prime+Probe. Consecutive lines walk the
+    /// sets in order, so the first match is a fixed number of lines
+    /// past the start and each later one a whole set stride past the
+    /// last.
     pub fn conflicting_lines(&self, addr: u64, search_base: u64, count: usize) -> Vec<u64> {
-        let target_set = self.set_index(addr);
-        let mut out = Vec::with_capacity(count);
-        let mut candidate = line_addr(search_base, self.config.line_bytes);
-        while out.len() < count {
-            if self.set_index(candidate) == target_set {
-                out.push(candidate);
-            }
-            candidate += self.config.line_bytes;
-        }
-        out
+        let line_bytes = self.config.line_bytes;
+        let start = line_addr(search_base, line_bytes);
+        let skip = (self.set_index(addr) as u64).wrapping_sub(self.set_index(start) as u64)
+            & self.set_mask;
+        let first = start + skip * line_bytes;
+        let stride = (self.set_mask + 1) * line_bytes;
+        (0..count as u64).map(|i| first + i * stride).collect()
     }
 }
 
@@ -326,6 +352,7 @@ impl fmt::Display for SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use condspec_stats::SplitMix64;
 
     fn tiny() -> SetAssocCache {
         // 2 sets x 2 ways x 64B lines = 256B.
@@ -463,6 +490,152 @@ mod tests {
         // Distinct lines.
         let set: std::collections::HashSet<u64> = lines.iter().copied().collect();
         assert_eq!(set.len(), 4);
+    }
+
+    /// `conflicting_lines` as first defined: walk every line address
+    /// from the line holding `search_base` and keep the ones in `addr`'s
+    /// set.
+    fn conflicting_lines_by_scan(
+        c: &SetAssocCache,
+        addr: u64,
+        search_base: u64,
+        count: usize,
+    ) -> Vec<u64> {
+        let target_set = c.set_index(addr);
+        let mut out = Vec::with_capacity(count);
+        let mut candidate = line_addr(search_base, c.config().line_bytes);
+        while out.len() < count {
+            if c.set_index(candidate) == target_set {
+                out.push(candidate);
+            }
+            candidate += c.config().line_bytes;
+        }
+        out
+    }
+
+    #[test]
+    fn conflicting_lines_equal_the_linear_scan() {
+        let geometries = [
+            // The L1D of each machine preset (condspec::MachineConfig):
+            // paper default, A57-like, and the i7-/Xeon-like 8-way.
+            CacheConfig::new(64 * 1024, 4, 64, 2),
+            CacheConfig::new(32 * 1024, 2, 64, 2),
+            CacheConfig::new(32 * 1024, 8, 64, 2),
+            // The paper's L2 and L3, and a geometry smaller than a word
+            // of sets with a different line size.
+            CacheConfig::new(2 * 1024 * 1024, 16, 64, 10),
+            CacheConfig::new(8 * 1024 * 1024, 32, 64, 60),
+            CacheConfig::new(256, 2, 32, 1),
+        ];
+        let mut rng = SplitMix64::new(0xc0f1_1c75);
+        for config in geometries {
+            let c = SetAssocCache::new(config);
+            let mut bases = vec![0, 1, 63, 64, 0x8000_0000, 0x8000_0000 + 0x27];
+            bases.extend((0..20).map(|_| rng.gen_range(0, 1 << 40)));
+            for search_base in bases {
+                for addr in [0, search_base, rng.gen_range(0, 1 << 40)] {
+                    let count = rng.gen_range(0, 2 * config.ways as u64 + 1) as usize;
+                    assert_eq!(
+                        c.conflicting_lines(addr, search_base, count),
+                        conflicting_lines_by_scan(&c, addr, search_base, count),
+                        "{config:?} addr={addr:#x} base={search_base:#x} count={count}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// One cache operation, drawn independently of cache state so two
+    /// caches can replay the same stream.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Fill(u64),
+        Access(u64, LruUpdate),
+        Touch(u64),
+        FlushLine(u64),
+        FlushAll,
+        Restore,
+    }
+
+    fn random_op(rng: &mut SplitMix64, config: &CacheConfig) -> Op {
+        // Four times the capacity, so sets fill, hit and evict.
+        let lines = (config.size_bytes / config.line_bytes) * 4;
+        let addr =
+            rng.gen_range(0, lines) * config.line_bytes + rng.gen_range(0, config.line_bytes);
+        match rng.gen_range(0, 100) {
+            0..=29 => Op::Fill(addr),
+            30..=39 => Op::Access(addr, LruUpdate::Normal),
+            40..=49 => Op::Access(addr, LruUpdate::None),
+            50..=59 => Op::Access(addr, LruUpdate::Deferred),
+            60..=74 => Op::Touch(addr),
+            75..=94 => Op::FlushLine(addr),
+            95..=97 => Op::FlushAll,
+            _ => Op::Restore,
+        }
+    }
+
+    /// Applies `op` and returns what it reported: an eviction, or
+    /// whether the line was present.
+    fn apply(
+        c: &mut SetAssocCache,
+        op: Op,
+        donor: &(Vec<(bool, u64, u64)>, u64),
+    ) -> (Option<u64>, bool) {
+        match op {
+            Op::Fill(addr) => (c.fill(addr), false),
+            Op::Access(addr, update) => (None, c.access(addr, update)),
+            Op::Touch(addr) => {
+                c.touch(addr);
+                (None, false)
+            }
+            Op::FlushLine(addr) => (None, c.flush_line(addr)),
+            Op::FlushAll => {
+                c.flush_all();
+                (None, false)
+            }
+            Op::Restore => {
+                c.restore_lines(&donor.0, donor.1);
+                (None, false)
+            }
+        }
+    }
+
+    #[test]
+    fn reset_after_any_op_stream_equals_a_fresh_cache() {
+        // 128 sets, so the dirty bitmap spans two words.
+        let config = CacheConfig::new(128 * 2 * 64, 2, 64, 1);
+        let fresh = SetAssocCache::new(config);
+        let mut rng = SplitMix64::new(0x0005_eed5);
+        let mut donor = SetAssocCache::new(config);
+        for _ in 0..1_000 {
+            donor.fill(rng.gen_range(0, 1 << 30) * 64);
+        }
+        let donor = donor.snapshot_lines();
+        let mut cache = SetAssocCache::new(config);
+        for round in 0..60 {
+            // Streams of every length: some end soon after a restore,
+            // leaving restored lines in sets no fill marked, and some
+            // hold no restore, so only the fills' marks are tested.
+            for _ in 0..rng.gen_range(0, 400) {
+                apply(&mut cache, random_op(&mut rng, &config), &donor);
+            }
+            cache.reset();
+            assert_eq!(
+                cache.snapshot_lines(),
+                fresh.snapshot_lines(),
+                "round {round}: reset must equal a fresh cache"
+            );
+            let mut twin = SetAssocCache::new(config);
+            for step in 0..1_000 {
+                let op = random_op(&mut rng, &config);
+                assert_eq!(
+                    apply(&mut cache, op, &donor),
+                    apply(&mut twin, op, &donor),
+                    "round {round}, step {step}: {op:?}"
+                );
+            }
+            cache.reset();
+        }
     }
 
     #[test]
