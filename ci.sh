@@ -20,35 +20,30 @@ echo "==> benchmark harness compiles against the workspace (cargo check perfbenc
 # item it uses would otherwise surface only when the benchmark runs.
 cargo check --offline --manifest-path perfbench/harness/Cargo.toml
 
-echo "==> perf smoke + regression guard (condspec perf --quick --compare --stages)"
+echo "==> perf smoke + regression guard (condspec perf --quick --compare)"
 cargo build --release -p condspec-cli
-perf_out="target/perf-smoke/simspeed.json"
-stage_out="target/perf-smoke/stagespeed.json"
 mkdir -p target/perf-smoke
-# One invocation validates the fresh simspeed report (schema + nonzero
-# simulated work and throughput in every matrix cell), diffs it against
-# the committed baseline, then does the same for the per-stage
-# microbenchmark suite, exiting non-zero on any regression:
+# One invocation runs the 17 quick cells (13 simulation cells, 4 stage
+# cells), validates the report (schema, nonzero work and rates in every
+# cell), writes it, and compares it with the committed baseline, exiting
+# non-zero on any regression:
 #
-#   * simulated work (sim_cycles / committed_inst) per matrix cell and
-#     stage work (ops / checksum) per stage cell — exact equality on
-#     every host, because both are deterministic. A legitimate
-#     timing-model or stage-workload change must regenerate the
-#     baselines (DESIGN.md §8 records the procedure):
-#         ./target/release/condspec perf --quick --out /tmp/q.json
-#         python3 ci/make_perf_baseline.py /tmp/q.json > ci/perf-quick-baseline.json
-#         ./target/release/condspec perf --quick --stages --stage-out /tmp/s.json
-#         python3 ci/make_perf_baseline.py --stage /tmp/s.json > ci/stage-quick-baseline.json
-#   * host throughput (committed_inst/s, stage ops/s) per cell —
-#     compared only when this machine matches the baseline's recorded
-#     host (tag, rustc, CPU count; the mismatching field is named, so
-#     the check self-skips on contributor hardware), failing below
-#     0.70x. Set CONDSPEC_SKIP_PERF_GUARD=1 to skip the throughput
-#     comparison explicitly (e.g. a loaded or throttled machine).
-./target/release/condspec perf --quick --out "$perf_out" \
-    --compare ci/perf-quick-baseline.json \
-    --stages --stage-out "$stage_out" \
-    --stage-baseline ci/stage-quick-baseline.json
+#   * work per cell (sim_cycles / committed_inst, or a stage cell's
+#     ops / checksum) — exact equality on every host, because it is
+#     deterministic.
+#   * throughput per cell (committed_inst/s, or ops/s) — compared only
+#     when this machine matches the baseline's recorded host (tag,
+#     rustc, CPU count; the refusal names the mismatching field),
+#     failing below 0.70x. Set CONDSPEC_SKIP_PERF_GUARD=1 to skip it
+#     explicitly (e.g. a loaded or throttled machine).
+#
+# After a deliberate timing-model or stage-workload change, regenerate
+# the baseline with the one command below, and only on the host whose
+# throughput this leg should gate: the baseline records that host, and
+# a baseline recorded elsewhere turns the throughput half off here.
+#     ./target/release/condspec perf --quick --out ci/perf-quick-baseline.json
+./target/release/condspec perf --quick --out target/perf-smoke/simspeed.json \
+    --compare ci/perf-quick-baseline.json
 
 echo "==> engine program-cache smoke (one build per distinct program)"
 # The icache sweep (44 jobs: 22 benchmarks x {filter off, on}, all on

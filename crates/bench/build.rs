@@ -2,7 +2,7 @@
 //!
 //! Wall-clock throughput numbers (`condspec perf`) are only comparable
 //! when the code was produced by the same compiler on the same class of
-//! machine; the `host` block of the simspeed/stagespeed reports records
+//! machine; the `host` block of the perf report records
 //! `rustc -V` so `--compare` can refuse cross-toolchain comparisons
 //! with a named reason instead of a silent skip.
 

@@ -6,7 +6,7 @@
 //! collect the paper's metrics) lives here.
 
 pub mod perf;
-pub mod stage;
+mod stage;
 
 use condspec::{DefenseConfig, Report, SimConfig, Simulator};
 use condspec_workloads::spec::{build_program, WorkloadSpec};
@@ -69,7 +69,18 @@ pub fn run_benchmark(
 pub fn sweep_main(name: &str) -> std::process::ExitCode {
     use std::process::ExitCode;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    // A path may be any bytes: refuse a non-UTF-8 argument, don't panic.
+    let args: Vec<String> = match std::env::args_os()
+        .skip(1)
+        .map(std::ffi::OsString::into_string)
+        .collect()
+    {
+        Ok(args) => args,
+        Err(bad) => {
+            eprintln!("argument `{}` is not valid UTF-8", bad.to_string_lossy());
+            return ExitCode::FAILURE;
+        }
+    };
     let sweep = condspec_engine::Sweep::by_name(name).expect("harness names a known sweep");
     let mut opts = condspec_engine::SweepOptions {
         resume: args.iter().any(|a| a == "--resume"),

@@ -1,34 +1,36 @@
 //! Simulator-throughput benchmark (`condspec perf`).
 //!
-//! Measures how fast the simulator itself runs — simulated cycles per
-//! wall-clock second and committed instructions per wall-clock second —
-//! over a fixed, deterministic workload matrix:
+//! Measures how fast the simulator runs over a fixed, deterministic set
+//! of cells and writes them all into one report:
 //!
-//! * **counting-loop** — a register-only countdown loop: peak
-//!   fetch/dispatch/issue/commit pressure with no memory traffic.
-//! * **pointer-chase** — a permuted pointer ring larger than the L1:
-//!   long-latency loads keep the IQ occupied, exercising the security
-//!   dependence matrix and the blocked-wakeup path under the defenses.
-//! * **spectre-gadget** — the Figure 5 attack-round shape: repeated
-//!   `load_program` + train/trigger runs of the V1 gadget, exercising
-//!   the program-load/reset path, squashes, and the filters.
+//! * **detailed** cells — the cycle-accurate pipeline on three
+//!   workloads, each under Origin, Cache-hit and Cache-hit + TPBuf:
+//!   * **counting-loop** — a register-only countdown loop: peak
+//!     fetch/dispatch/issue/commit pressure with no memory traffic.
+//!   * **pointer-chase** — a permuted pointer ring larger than the L1:
+//!     long-latency loads keep the IQ occupied, exercising the security
+//!     dependence matrix and the blocked-wakeup path under the defenses.
+//!   * **spectre-gadget** — the Figure 5 attack-round shape: repeated
+//!     `load_program` + train/trigger runs of the V1 gadget, exercising
+//!     the program-load/reset path, squashes, and the filters.
+//! * **functional** cells — architectural-only execution (the
+//!   sampled-run fast-forward engine) of the two halting workloads.
+//! * **sampled** cells — the full SimPoint-style pipeline (functional
+//!   fast-forward, detailed windows, weighted stitch) on the same two.
+//! * **stage** cells — one pipeline structure driven directly, with no
+//!   core around it (`stage.rs`).
 //!
-//! Each workload runs under Origin, Cache-hit, and Cache-hit + TPBuf.
-//! The simulated work per cell is deterministic (identical cycle and
-//! commit counts on every host); only the wall-clock fields vary. Every
-//! cell is timed several times and the fastest wall time is reported —
-//! the minimum over repeats of a deterministic computation estimates
-//! the code's speed, not the host scheduler's mood. The result
-//! serializes as the `condspec-simspeed-v1` JSON schema recorded in
-//! `BENCH_simspeed.json`.
-//!
-//! Beyond the detailed matrix, the report carries **functional** rows
-//! (architectural-only execution — the sampled-run fast-forward engine)
-//! and **sampled** rows (the full SimPoint-style pipeline: functional
-//! fast-forward, detailed windows, weighted stitch), tagged with a
-//! per-cell `mode` field. A detailed cell carries no `mode` field, so
-//! baselines from before the field still compare.
+//! A cell's work is deterministic — simulated cycles and committed
+//! instructions for a simulation cell, operations and a result checksum
+//! for a stage cell — so it is identical on every host; only the
+//! wall-clock fields vary. Every cell is timed several times and the
+//! fastest wall time is reported — the minimum over repeats of a
+//! deterministic computation estimates the code's speed, not the host
+//! scheduler's mood. The report serializes as the `condspec-simspeed-v2`
+//! JSON schema; [`compare`] checks a report against a committed one
+//! (`ci/perf-quick-baseline.json`, `BENCH_simspeed.json`).
 
+use crate::stage::STAGES;
 use condspec::{run_sampled, DefenseConfig, MachineConfig, SampledOptions, SimConfig, Simulator};
 use condspec_isa::{AluOp, BranchCond, Program, ProgramBuilder, Reg};
 use condspec_stats::{Json, SplitMix64};
@@ -37,10 +39,10 @@ use condspec_workloads::GadgetKind;
 use std::time::Instant;
 
 /// Schema identifier embedded in the JSON output.
-pub const SCHEMA: &str = "condspec-simspeed-v1";
+pub const SCHEMA: &str = "condspec-simspeed-v2";
 
-/// Defenses measured per workload (the ISSUE's matrix; Baseline is
-/// covered transitively — its hot path is a strict subset of Cache-hit).
+/// Defenses measured per workload (Baseline is covered transitively —
+/// its hot path is a strict subset of Cache-hit).
 pub const DEFENSES: [DefenseConfig; 3] = [
     DefenseConfig::Origin,
     DefenseConfig::CacheHit,
@@ -56,11 +58,11 @@ const RING_SLOTS: usize = 16 * 1024;
 /// Cycle budget per gadget run (same as the attack harness).
 const GADGET_RUN_BUDGET: u64 = 500_000;
 
-/// The workload names of the matrix, in run order.
+/// The workload names of the simulation cells, in run order.
 pub const WORKLOADS: [&str; 3] = ["counting-loop", "pointer-chase", "spectre-gadget"];
 
-/// A `--only <workload>[:<defense>]` cell filter: restricts the matrix
-/// to one workload, optionally to a single defense column.
+/// A `--only <workload>[:<defense>]` cell filter: restricts the run to
+/// one workload, optionally to a single defense column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellFilter {
     /// The selected workload (one of [`WORKLOADS`]).
@@ -113,11 +115,12 @@ impl CellFilter {
 /// Workload sizing for one `condspec perf` invocation.
 #[derive(Debug, Clone, Copy)]
 pub struct PerfOptions {
-    /// Machine preset the matrix runs on.
+    /// Machine preset the simulation cells run on.
     pub machine: MachineConfig,
-    /// Quick mode: ~50× less simulated work per cell (CI smoke).
+    /// Quick mode: ~50× less work per cell (CI smoke).
     pub quick: bool,
-    /// Restricts the matrix to one workload (optionally one defense).
+    /// Restricts the run to one workload (optionally one defense); a
+    /// filtered run has no stage cells.
     pub only: Option<CellFilter>,
 }
 
@@ -186,20 +189,29 @@ impl PerfOptions {
         }
     }
 
+    /// Rounds of a stage cell whose full-size run does `full`.
+    pub(crate) fn stage_rounds(&self, full: u64) -> u64 {
+        if self.quick {
+            (full / 50).max(1)
+        } else {
+            full
+        }
+    }
+
     /// Timed repetitions per cell; the fastest wall time is reported.
     ///
-    /// The simulated work is deterministic, so repeats only re-measure
-    /// the host: taking the minimum is the standard noise-robust
-    /// estimator for "how fast can this code run", and it keeps the CI
-    /// regression guard from tripping on scheduler jitter. The repeats
-    /// double as a determinism check — every repeat must reproduce the
-    /// cell's cycle and commit counts exactly.
+    /// The work is deterministic, so repeats only re-measure the host:
+    /// taking the minimum is the standard noise-robust estimator for
+    /// "how fast can this code run", and it keeps the CI regression
+    /// guard from tripping on scheduler jitter. The repeats double as a
+    /// determinism check — every repeat must reproduce the cell's work
+    /// exactly.
     fn cell_repeats(&self) -> u32 {
         3
     }
 }
 
-/// How a perf cell simulates its workload.
+/// How a perf cell runs its workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellMode {
     /// Cycle-accurate out-of-order pipeline.
@@ -210,45 +222,102 @@ pub enum CellMode {
     /// `sim_cycles` is the stitched whole-program estimate and
     /// `committed_inst` the whole program the run represents.
     Sampled,
+    /// One pipeline structure driven directly (`stage.rs`): no core, no
+    /// defense.
+    Stage,
 }
 
 impl CellMode {
-    /// The cell's `mode` key (`detailed` / `functional` / `sampled`).
+    /// The cell's `mode` key.
     pub fn key(self) -> &'static str {
         match self {
             CellMode::Detailed => "detailed",
             CellMode::Functional => "functional",
             CellMode::Sampled => "sampled",
+            CellMode::Stage => "stage",
+        }
+    }
+
+    /// The mode named by `key`.
+    pub(crate) fn from_key(key: &str) -> Option<Self> {
+        [
+            CellMode::Detailed,
+            CellMode::Functional,
+            CellMode::Sampled,
+            CellMode::Stage,
+        ]
+        .into_iter()
+        .find(|mode| mode.key() == key)
+    }
+
+    /// The report fields of the cell's two exact-work counts.
+    pub fn work_fields(self) -> [&'static str; 2] {
+        match self {
+            CellMode::Stage => ["ops", "checksum"],
+            _ => ["sim_cycles", "committed_inst"],
+        }
+    }
+
+    /// The report field of the rate the throughput gate reads.
+    pub fn rate_field(self) -> &'static str {
+        match self {
+            CellMode::Stage => "ops_per_sec",
+            _ => "committed_inst_per_sec",
+        }
+    }
+
+    /// Display unit of that rate, in millions per second.
+    pub fn rate_unit(self) -> &'static str {
+        match self {
+            CellMode::Stage => "Mops/s",
+            _ => "Minst/s",
         }
     }
 }
 
-/// One workload × defense measurement.
+/// `workload/defense/mode`, or `workload/mode` for a stage cell.
+fn cell_label(workload: &str, defense: Option<&str>, mode: CellMode) -> String {
+    match defense {
+        Some(defense) => format!("{workload}/{defense}/{}", mode.key()),
+        None => format!("{workload}/{}", mode.key()),
+    }
+}
+
+/// One timed cell.
 #[derive(Debug, Clone)]
 pub struct PerfCell {
-    /// Workload name (`counting-loop`, `pointer-chase`, `spectre-gadget`).
+    /// Workload (one of [`WORKLOADS`]) or stage name.
     pub workload: &'static str,
-    /// Defense environment.
-    pub defense: DefenseConfig,
-    /// Simulation mode of this cell.
+    /// Defense environment; `None` for a stage cell.
+    pub defense: Option<DefenseConfig>,
+    /// How the cell runs.
     pub mode: CellMode,
-    /// Simulated cycles (deterministic; 0 for functional cells).
-    pub sim_cycles: u64,
-    /// Committed instructions (deterministic).
-    pub committed: u64,
-    /// Wall-clock seconds the cell took (host-dependent).
+    /// The deterministic work, in [`CellMode::work_fields`] order:
+    /// `(sim_cycles, committed_inst)` or `(ops, checksum)`.
+    pub work: (u64, u64),
+    /// Wall-clock seconds of the fastest repeat (host-dependent).
     pub wall_seconds: f64,
 }
 
 impl PerfCell {
-    /// Simulated cycles per wall-clock second.
-    pub fn cycles_per_sec(&self) -> f64 {
-        self.sim_cycles as f64 / self.wall_seconds.max(1e-9)
+    /// The cell's [`cell_label`].
+    pub(crate) fn label(&self) -> String {
+        cell_label(self.workload, self.defense.map(|d| d.key()), self.mode)
     }
 
-    /// Committed instructions per wall-clock second.
-    pub fn committed_per_sec(&self) -> f64 {
-        self.committed as f64 / self.wall_seconds.max(1e-9)
+    /// The gated rate ([`CellMode::rate_field`]): committed instructions
+    /// per wall-clock second, or stage operations per second.
+    pub fn rate(&self) -> f64 {
+        let count = match self.mode {
+            CellMode::Stage => self.work.0,
+            _ => self.work.1,
+        };
+        count as f64 / self.wall_seconds.max(1e-9)
+    }
+
+    /// Simulated cycles per wall-clock second (simulation cells).
+    pub fn cycles_per_sec(&self) -> f64 {
+        self.work.0 as f64 / self.wall_seconds.max(1e-9)
     }
 }
 
@@ -374,10 +443,10 @@ fn run_sampled_cell(
 }
 
 /// Times one cell: `repeats` runs of `runner`, fastest wall time kept,
-/// identical simulated work asserted across repeats.
+/// identical work asserted across repeats.
 fn measure_cell(
     workload: &'static str,
-    defense: DefenseConfig,
+    defense: Option<DefenseConfig>,
     mode: CellMode,
     repeats: u32,
     runner: &dyn Fn() -> (u64, u64),
@@ -385,7 +454,7 @@ fn measure_cell(
     let mut best: Option<PerfCell> = None;
     for _ in 0..repeats {
         let start = Instant::now();
-        let (sim_cycles, committed) = runner();
+        let work = runner();
         let wall_seconds = start.elapsed().as_secs_f64();
         match &mut best {
             None => {
@@ -393,18 +462,16 @@ fn measure_cell(
                     workload,
                     defense,
                     mode,
-                    sim_cycles,
-                    committed,
+                    work,
                     wall_seconds,
                 });
             }
             Some(cell) => {
                 assert_eq!(
-                    (cell.sim_cycles, cell.committed),
-                    (sim_cycles, committed),
-                    "{workload}/{}/{}: simulated work must be deterministic",
-                    defense.key(),
-                    mode.key(),
+                    cell.work,
+                    work,
+                    "{}: work must be deterministic",
+                    cell.label()
                 );
                 cell.wall_seconds = cell.wall_seconds.min(wall_seconds);
             }
@@ -413,9 +480,9 @@ fn measure_cell(
     best.expect("at least one repeat")
 }
 
-/// Runs the full workload × defense matrix, returning cells in a fixed
-/// order: the detailed matrix (workloads outer, [`DEFENSES`] inner),
-/// then the functional rows, then the sampled rows.
+/// Runs every cell the options keep, in a fixed order: the detailed
+/// matrix (workloads outer, [`DEFENSES`] inner), then the functional,
+/// sampled and stage rows.
 pub fn run_matrix(opts: &PerfOptions) -> Vec<PerfCell> {
     let counting = std::sync::Arc::new(counting_loop(opts.counting_iterations()));
     let chase = std::sync::Arc::new(pointer_chase(opts.chase_iterations()));
@@ -449,7 +516,7 @@ pub fn run_matrix(opts: &PerfOptions) -> Vec<PerfCell> {
             let config = SimConfig::on_machine(defense, opts.machine);
             cells.push(measure_cell(
                 workload,
-                defense,
+                Some(defense),
                 CellMode::Detailed,
                 opts.cell_repeats(),
                 &|| runner(config),
@@ -467,7 +534,7 @@ pub fn run_matrix(opts: &PerfOptions) -> Vec<PerfCell> {
         let config = SimConfig::on_machine(DefenseConfig::Origin, opts.machine);
         cells.push(measure_cell(
             workload,
-            DefenseConfig::Origin,
+            Some(DefenseConfig::Origin),
             CellMode::Functional,
             opts.cell_repeats(),
             &|| run_functional_cell(program, config),
@@ -484,7 +551,7 @@ pub fn run_matrix(opts: &PerfOptions) -> Vec<PerfCell> {
         let config = SimConfig::on_machine(DefenseConfig::CacheHitTpbuf, opts.machine);
         cells.push(measure_cell(
             workload,
-            DefenseConfig::CacheHitTpbuf,
+            Some(DefenseConfig::CacheHitTpbuf),
             CellMode::Sampled,
             opts.cell_repeats(),
             &|| {
@@ -499,28 +566,33 @@ pub fn run_matrix(opts: &PerfOptions) -> Vec<PerfCell> {
             },
         ));
     }
+
+    // Stage rows: each pipeline structure on its own. `--only` names a
+    // simulation workload, so a filtered run leaves them out.
+    for (stage, runner, full_rounds) in STAGES {
+        if opts.only.is_some() {
+            break;
+        }
+        let rounds = opts.stage_rounds(full_rounds);
+        cells.push(measure_cell(
+            stage,
+            None,
+            CellMode::Stage,
+            opts.cell_repeats(),
+            &|| runner(rounds),
+        ));
+    }
     cells
 }
 
-/// The machine identity throughput numbers belong to, e.g.
-/// `x86_64-1cpu`. Wall-clock rates from different hosts are not
-/// comparable; [`compare`] only checks throughput when the baseline's
-/// tag matches the current host's.
-pub fn host_tag() -> String {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    format!("{}-{cpus}cpu", std::env::consts::ARCH)
-}
-
 /// The identity wall-clock throughput numbers belong to: machine tag,
-/// compiler, and core count. Recorded in every simspeed/stagespeed
-/// report as the `host` block; [`compare`] refuses the throughput check
-/// with a message naming the mismatching field when any of them differ
-/// from the baseline's.
+/// compiler, and core count. Recorded in every report as the `host`
+/// block; [`compare`] refuses the throughput check with a message
+/// naming the mismatching field when any of them differ from the
+/// baseline's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostInfo {
-    /// Architecture + core-count tag (see [`host_tag`]).
+    /// Architecture + core-count tag, e.g. `x86_64-1cpu`.
     pub tag: String,
     /// `rustc -V` of the compiler that built this binary.
     pub rustc: String,
@@ -531,12 +603,13 @@ pub struct HostInfo {
 impl HostInfo {
     /// The identity of the running binary and machine.
     pub fn current() -> Self {
+        let cpus = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         HostInfo {
-            tag: host_tag(),
+            tag: format!("{}-{cpus}cpu", std::env::consts::ARCH),
             rustc: env!("CONDSPEC_RUSTC_VERSION").to_string(),
-            cpus: std::thread::available_parallelism()
-                .map(|n| n.get() as u64)
-                .unwrap_or(1),
+            cpus: cpus as u64,
         }
     }
 
@@ -549,11 +622,9 @@ impl HostInfo {
         ])
     }
 
-    /// Why throughput from `baseline_host` is incomparable with this
-    /// host, naming the first mismatching field — or `None` when the
-    /// identities match. `baseline_host` is the baseline's `host` block
-    /// (reports before the block carry only a `host_tag` string; pass
-    /// `tag_only` then, and only the tag is checked).
+    /// Why throughput from `baseline_host` (the baseline's `host` block)
+    /// is incomparable with this host, naming the first mismatching
+    /// field — or `None` when the identities match.
     pub fn incompatibility(&self, baseline_host: &Json) -> Option<String> {
         let fields: [(&str, &str); 2] = [("tag", &self.tag), ("rustc", &self.rustc)];
         for (key, current) in fields {
@@ -577,8 +648,31 @@ impl HostInfo {
     }
 }
 
-/// Serializes a matrix run as the `condspec-simspeed-v1` document.
+/// Serializes a run as the `condspec-simspeed-v2` document. Every cell
+/// names its workload and mode; a simulation cell also names its
+/// defense and carries `sim_cycles_per_sec` next to its gated rate.
 pub fn to_json(opts: &PerfOptions, cells: &[PerfCell]) -> Json {
+    let cells = cells
+        .iter()
+        .map(|c| {
+            let [first, second] = c.mode.work_fields();
+            let mut fields = vec![("workload", Json::Str(c.workload.to_string()))];
+            if let Some(defense) = c.defense {
+                fields.push(("defense", Json::Str(defense.key().to_string())));
+            }
+            fields.extend([
+                ("mode", Json::Str(c.mode.key().to_string())),
+                (first, Json::U64(c.work.0)),
+                (second, Json::U64(c.work.1)),
+                ("wall_seconds", Json::F64(c.wall_seconds)),
+            ]);
+            if c.mode != CellMode::Stage {
+                fields.push(("sim_cycles_per_sec", Json::F64(c.cycles_per_sec())));
+            }
+            fields.push((c.mode.rate_field(), Json::F64(c.rate())));
+            Json::object(fields)
+        })
+        .collect();
     Json::object([
         ("schema", Json::Str(SCHEMA.to_string())),
         ("machine", Json::Str(opts.machine.name.to_string())),
@@ -586,96 +680,117 @@ pub fn to_json(opts: &PerfOptions, cells: &[PerfCell]) -> Json {
             "mode",
             Json::Str(if opts.quick { "quick" } else { "full" }.to_string()),
         ),
-        ("host_tag", Json::Str(host_tag())),
         ("host", HostInfo::current().to_json()),
-        (
-            "cells",
-            Json::Array(
-                cells
-                    .iter()
-                    .map(|c| {
-                        let mut fields = vec![
-                            ("workload", Json::Str(c.workload.to_string())),
-                            ("defense", Json::Str(c.defense.key().to_string())),
-                        ];
-                        // Detailed cells carry no mode field, so
-                        // baselines from before the field still parse
-                        // and compare.
-                        if c.mode != CellMode::Detailed {
-                            fields.push(("mode", Json::Str(c.mode.key().to_string())));
-                        }
-                        fields.extend([
-                            ("sim_cycles", Json::U64(c.sim_cycles)),
-                            ("committed_inst", Json::U64(c.committed)),
-                            ("wall_seconds", Json::F64(c.wall_seconds)),
-                            ("sim_cycles_per_sec", Json::F64(c.cycles_per_sec())),
-                            ("committed_inst_per_sec", Json::F64(c.committed_per_sec())),
-                        ]);
-                        Json::object(fields)
-                    })
-                    .collect(),
-            ),
-        ),
+        ("cells", Json::Array(cells)),
     ])
 }
 
-/// Validates a rendered simspeed document: schema tag, and every cell
-/// reporting nonzero simulated work and throughput. Returns a
-/// human-readable error on any violation (the CI smoke check).
-pub fn validate(doc: &Json) -> Result<(), String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => {}
-        other => return Err(format!("bad schema field: {other:?}")),
+/// One cell of a parsed report.
+struct CellView<'a> {
+    workload: &'a str,
+    defense: Option<&'a str>,
+    mode: CellMode,
+    json: &'a Json,
+}
+
+impl CellView<'_> {
+    fn label(&self) -> String {
+        cell_label(self.workload, self.defense, self.mode)
     }
-    let cells = doc
+
+    fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.json
+            .get(key)
+            .and_then(Json::as_u64)
+            .ok_or(format!("cell {}: missing {key}", self.label()))
+    }
+
+    fn f64_field(&self, key: &str) -> Result<f64, String> {
+        self.json
+            .get(key)
+            .and_then(Json::as_f64)
+            .ok_or(format!("cell {}: missing {key}", self.label()))
+    }
+
+    fn work(&self) -> Result<(u64, u64), String> {
+        let [first, second] = self.mode.work_fields();
+        Ok((self.u64_field(first)?, self.u64_field(second)?))
+    }
+}
+
+/// The cells of a report whose schema is [`SCHEMA`]. Every cell names
+/// its workload and mode, and a defense exactly when it is not a stage
+/// cell.
+fn cells_of<'a>(which: &str, report: &'a Json) -> Result<Vec<CellView<'a>>, String> {
+    match report.get("schema").and_then(Json::as_str) {
+        Some(s) if s == SCHEMA => {}
+        other => return Err(format!("{which} report has bad schema: {other:?}")),
+    }
+    report
         .get("cells")
         .and_then(Json::as_array)
-        .ok_or("missing cells array")?;
+        .ok_or(format!("{which} report has no cells array"))?
+        .iter()
+        .map(|json| {
+            let workload = json
+                .get("workload")
+                .and_then(Json::as_str)
+                .ok_or("cell missing workload")?;
+            let key = json.get("mode").and_then(Json::as_str);
+            let mode = key
+                .and_then(CellMode::from_key)
+                .ok_or(format!("cell {workload}: bad mode {key:?}"))?;
+            let defense = json.get("defense").and_then(Json::as_str);
+            if defense.is_some() == (mode == CellMode::Stage) {
+                return Err(format!(
+                    "cell {workload}: a stage cell has no defense and every other cell has one"
+                ));
+            }
+            Ok(CellView {
+                workload,
+                defense,
+                mode,
+                json,
+            })
+        })
+        .collect()
+}
+
+/// Validates a rendered report: schema tag, and every cell reporting
+/// nonzero work and positive rates. Returns a human-readable error on
+/// any violation (the CI smoke check).
+pub fn validate(doc: &Json) -> Result<(), String> {
+    let cells = cells_of("perf", doc)?;
     if cells.is_empty() {
         return Err("empty cells array".to_string());
     }
-    for cell in cells {
-        let label = cell
-            .get("workload")
-            .and_then(Json::as_str)
-            .unwrap_or("<unnamed>");
-        let mode = cell
-            .get("mode")
-            .and_then(Json::as_str)
-            .unwrap_or("detailed");
-        if !["detailed", "functional", "sampled"].contains(&mode) {
-            return Err(format!("cell {label}: unknown mode `{mode}`"));
-        }
-        let nonzero_u64 = |key: &str| {
-            cell.get(key)
-                .and_then(Json::as_u64)
-                .filter(|&v| v > 0)
-                .ok_or(format!("cell {label}: {key} missing or zero"))
+    for cell in &cells {
+        let (first, second) = cell.work()?;
+        let plausible = match cell.mode {
+            CellMode::Detailed | CellMode::Sampled => first > 0 && second > 0,
+            // No cycle model: sim_cycles is exactly 0.
+            CellMode::Functional => first == 0 && second > 0,
+            // A checksum may take any value.
+            CellMode::Stage => first > 0,
         };
-        // Functional cells have no cycle model: sim_cycles must be
-        // present but is exactly zero.
-        if mode == "functional" {
-            match cell.get("sim_cycles").and_then(Json::as_u64) {
-                Some(0) => {}
-                other => {
-                    return Err(format!(
-                        "cell {label}: functional sim_cycles must be 0 ({other:?})"
-                    ))
-                }
-            }
-        } else {
-            nonzero_u64("sim_cycles")?;
+        if !plausible {
+            let [a, b] = cell.mode.work_fields();
+            return Err(format!(
+                "cell {}: implausible work {a} = {first}, {b} = {second}",
+                cell.label()
+            ));
         }
-        nonzero_u64("committed_inst")?;
-        let rate_keys: &[&str] = if mode == "functional" {
-            &["committed_inst_per_sec"]
-        } else {
-            &["sim_cycles_per_sec", "committed_inst_per_sec"]
-        };
-        for key in rate_keys {
-            match cell.get(key).and_then(Json::as_f64) {
-                Some(v) if v > 0.0 && v.is_finite() => {}
-                other => return Err(format!("cell {label}: {key} not positive ({other:?})")),
+        let mut rates = vec![cell.mode.rate_field()];
+        if matches!(cell.mode, CellMode::Detailed | CellMode::Sampled) {
+            rates.push("sim_cycles_per_sec");
+        }
+        for key in rates {
+            let rate = cell.f64_field(key)?;
+            if !(rate > 0.0 && rate.is_finite()) {
+                return Err(format!(
+                    "cell {}: {key} not positive ({rate})",
+                    cell.label()
+                ));
             }
         }
     }
@@ -683,38 +798,36 @@ pub fn validate(doc: &Json) -> Result<(), String> {
 }
 
 /// Largest tolerated throughput drop: a cell below this fraction of the
-/// baseline's committed-inst/s fails [`compare`] (when the host
-/// matches). 0.70 keeps the guard robust to scheduler jitter while
-/// still catching real hot-path regressions.
+/// baseline's gated rate fails [`compare`] (when the host matches).
+/// 0.70 keeps the guard robust to scheduler jitter while still catching
+/// real hot-path regressions.
 pub const MIN_THROUGHPUT_RATIO: f64 = 0.70;
 
-/// One cell of a [`compare`] run: baseline vs current, same
-/// workload × defense.
+/// One cell of a [`compare`] run: baseline vs current.
 #[derive(Debug, Clone)]
 pub struct CompareCell {
-    /// Workload name.
+    /// Workload or stage name.
     pub workload: String,
-    /// Defense key.
-    pub defense: String,
-    /// Cell mode (`detailed` when the report predates the field).
-    pub mode: String,
-    /// `(baseline, current)` simulated cycles — must be equal.
-    pub sim_cycles: (u64, u64),
-    /// `(baseline, current)` committed instructions — must be equal.
-    pub committed: (u64, u64),
-    /// `(baseline, current)` committed instructions per wall-second.
-    pub committed_per_sec: (f64, f64),
+    /// Defense key; `None` for a stage cell.
+    pub defense: Option<String>,
+    /// Cell mode.
+    pub mode: CellMode,
+    /// `(baseline, current)` of each exact-work field, in
+    /// [`CellMode::work_fields`] order — must be equal.
+    pub work: [(u64, u64); 2],
+    /// `(baseline, current)` of the gated rate ([`CellMode::rate_field`]).
+    pub rate: (f64, f64),
 }
 
 impl CompareCell {
-    /// current / baseline committed-inst/s.
+    /// current / baseline gated rate.
     pub fn throughput_ratio(&self) -> f64 {
-        self.committed_per_sec.1 / self.committed_per_sec.0.max(1e-9)
+        self.rate.1 / self.rate.0.max(1e-9)
     }
 
-    /// Whether the deterministic simulated-work fields match exactly.
+    /// Whether the deterministic work fields match exactly.
     pub fn work_matches(&self) -> bool {
-        self.sim_cycles.0 == self.sim_cycles.1 && self.committed.0 == self.committed.1
+        self.work.iter().all(|(base, now)| base == now)
     }
 }
 
@@ -722,7 +835,7 @@ impl CompareCell {
 /// baseline.
 #[derive(Debug)]
 pub struct Comparison {
-    /// Per-cell deltas, in the baseline's cell order.
+    /// Per-cell deltas, in the current report's cell order.
     pub cells: Vec<CompareCell>,
     /// Human-readable regressions; empty means the comparison passed.
     pub failures: Vec<String>,
@@ -738,43 +851,10 @@ impl Comparison {
     }
 }
 
-/// Unwraps a baseline document to its simspeed report and host tag.
-///
-/// Accepts either a bare `condspec-simspeed-v1` report (e.g.
-/// `BENCH_simspeed.json`) or the CI wrapper schema
-/// `condspec-simspeed-quick-baseline-v1` (`ci/perf-quick-baseline.json`),
-/// whose `host_tag` takes precedence over one inside the report.
-fn unwrap_baseline(baseline: &Json) -> Result<(&Json, Option<&str>), String> {
-    match baseline.get("schema").and_then(Json::as_str) {
-        Some("condspec-simspeed-quick-baseline-v1") => {
-            let report = baseline
-                .get("report")
-                .ok_or("baseline wrapper has no report field")?;
-            let tag = baseline
-                .get("host_tag")
-                .and_then(Json::as_str)
-                .or_else(|| report.get("host_tag").and_then(Json::as_str));
-            Ok((report, tag))
-        }
-        Some(s) if s == SCHEMA => Ok((baseline, baseline.get("host_tag").and_then(Json::as_str))),
-        other => Err(format!("unrecognized baseline schema: {other:?}")),
-    }
-}
-
-/// The baseline's recorded host identity: its `host` block when
-/// present (wrapper level preferred), else a tag-only block synthesized
-/// from the legacy `host_tag` string.
-pub(crate) fn baseline_host(baseline: &Json, report: &Json, tag: Option<&str>) -> Option<Json> {
-    if let Some(block) = baseline.get("host").or_else(|| report.get("host")) {
-        return Some(block.clone());
-    }
-    tag.map(|t| Json::object([("tag", Json::Str(t.to_string()))]))
-}
-
 /// Resolves the throughput-check gate: `Ok(note)` when wall-clock rates
 /// may be compared, `Err(note)` when they must not be (the note names
 /// the reason — the skip is explicit, never silent).
-pub(crate) fn throughput_gate(
+fn throughput_gate(
     host: &HostInfo,
     base_host: Option<&Json>,
     skip: bool,
@@ -796,63 +876,22 @@ pub(crate) fn throughput_gate(
     }
 }
 
-fn cell_map(report: &Json) -> Result<Vec<(String, String, String, &Json)>, String> {
-    report
-        .get("cells")
-        .and_then(Json::as_array)
-        .ok_or("report has no cells array")?
-        .iter()
-        .map(|cell| {
-            let workload = cell
-                .get("workload")
-                .and_then(Json::as_str)
-                .ok_or("cell missing workload")?;
-            let defense = cell
-                .get("defense")
-                .and_then(Json::as_str)
-                .ok_or("cell missing defense")?;
-            // Cells from before the per-cell mode field are detailed.
-            let mode = cell
-                .get("mode")
-                .and_then(Json::as_str)
-                .unwrap_or("detailed");
-            Ok((
-                workload.to_string(),
-                defense.to_string(),
-                mode.to_string(),
-                cell,
-            ))
-        })
-        .collect()
-}
-
-fn cell_u64(cell: &Json, key: &str) -> Result<u64, String> {
-    cell.get(key)
-        .and_then(Json::as_u64)
-        .ok_or(format!("cell missing {key}"))
-}
-
-fn cell_f64(cell: &Json, key: &str) -> Result<f64, String> {
-    cell.get(key)
-        .and_then(Json::as_f64)
-        .ok_or(format!("cell missing {key}"))
-}
-
-/// Compares a fresh simspeed report against a committed baseline (the
-/// `condspec perf --compare` core, and CI's regression guard).
+/// Compares a fresh report against a committed baseline (the `condspec
+/// perf --compare` core, and CI's regression guard).
 ///
-/// Two classes of check:
+/// Two classes of check, per cell:
 ///
-/// * **Simulated work** (`sim_cycles`, `committed_inst`) — exact
-///   equality per cell, on every host: the simulator is deterministic,
-///   so any drift means the timing model changed and the baseline must
-///   be regenerated deliberately (see `ci/make_perf_baseline.py`).
-/// * **Throughput** (`committed_inst_per_sec`) — `current/baseline ≥`
-///   [`MIN_THROUGHPUT_RATIO`] per cell, but only when the current
-///   [`HostInfo`] matches the baseline's recorded host identity (rates
-///   from different machines or compilers are incomparable — the
-///   refusal names the mismatching field) and `skip_throughput` is
-///   unset (`CONDSPEC_SKIP_PERF_GUARD=1` for loaded/throttled hosts).
+/// * **Work** (`sim_cycles`/`committed_inst`, or a stage cell's
+///   `ops`/`checksum`) — exact equality, on every host: the work is
+///   deterministic, so any drift means the timing model or a structure
+///   changed and the baseline must be regenerated deliberately
+///   (`condspec perf --quick --out ci/perf-quick-baseline.json`).
+/// * **Throughput** (the cell's [`CellMode::rate_field`]) —
+///   `current/baseline ≥` [`MIN_THROUGHPUT_RATIO`], but only when the
+///   current [`HostInfo`] matches the baseline's `host` block (rates from
+///   different machines or compilers are incomparable — the refusal
+///   names the mismatching field) and `skip_throughput` is unset
+///   (`CONDSPEC_SKIP_PERF_GUARD=1` for loaded/throttled hosts).
 ///
 /// A current report produced with `--only` carries a subset of the
 /// baseline's cells; the subset is compared cell-for-cell. Cells
@@ -863,20 +902,18 @@ fn cell_f64(cell: &Json, key: &str) -> Result<f64, String> {
 ///
 /// Returns a message (instead of a [`Comparison`]) when the documents
 /// are structurally incomparable: unknown schema, mode/machine
-/// mismatch, or current cells the baseline does not cover.
+/// mismatch, a malformed cell, or current cells the baseline does not
+/// cover.
 pub fn compare(
     current: &Json,
     baseline: &Json,
     host: &HostInfo,
     skip_throughput: bool,
 ) -> Result<Comparison, String> {
-    match current.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => {}
-        other => return Err(format!("current report has bad schema: {other:?}")),
-    }
-    let (base_report, base_tag) = unwrap_baseline(baseline)?;
+    let got_cells = cells_of("current", current)?;
+    let base_cells = cells_of("baseline", baseline)?;
     for key in ["mode", "machine"] {
-        let base = base_report.get(key).and_then(Json::as_str);
+        let base = baseline.get(key).and_then(Json::as_str);
         let got = current.get(key).and_then(Json::as_str);
         if base != got {
             return Err(format!(
@@ -884,15 +921,11 @@ pub fn compare(
             ));
         }
     }
-
-    let base_cells = cell_map(base_report)?;
-    let got_cells = cell_map(current)?;
     if got_cells.is_empty() {
         return Err("current report has no cells".to_string());
     }
 
-    let base_host = baseline_host(baseline, base_report, base_tag);
-    let gate = throughput_gate(host, base_host.as_ref(), skip_throughput);
+    let gate = throughput_gate(host, baseline.get("host"), skip_throughput);
     let check_throughput = gate.is_ok();
     let throughput_note = match gate {
         Ok(note) | Err(note) => note,
@@ -900,54 +933,41 @@ pub fn compare(
 
     let mut cells = Vec::new();
     let mut failures = Vec::new();
-    for (workload, defense, mode, got) in &got_cells {
-        let Some((_, _, _, base)) = base_cells
+    for got in &got_cells {
+        let label = got.label();
+        let Some(base) = base_cells
             .iter()
-            .find(|(w, d, m, _)| w == workload && d == defense && m == mode)
+            .find(|b| (b.workload, b.defense, b.mode) == (got.workload, got.defense, got.mode))
         else {
             return Err(format!(
-                "cell {workload}/{defense}/{mode} is not in the baseline \
-                 (matrix changed — regenerate the baseline)"
+                "cell {label} is not in the baseline (matrix changed — regenerate the baseline)"
             ));
         };
-        // Detailed cells keep their historical two-part label so existing
-        // baseline tooling output stays familiar.
-        let label = if mode == "detailed" {
-            format!("{workload}/{defense}")
-        } else {
-            format!("{workload}/{defense}/{mode}")
-        };
+        let (base_work, got_work) = (base.work()?, got.work()?);
+        let rate_field = got.mode.rate_field();
         let cell = CompareCell {
-            workload: workload.clone(),
-            defense: defense.clone(),
-            mode: mode.clone(),
-            sim_cycles: (cell_u64(base, "sim_cycles")?, cell_u64(got, "sim_cycles")?),
-            committed: (
-                cell_u64(base, "committed_inst")?,
-                cell_u64(got, "committed_inst")?,
-            ),
-            committed_per_sec: (
-                cell_f64(base, "committed_inst_per_sec")?,
-                cell_f64(got, "committed_inst_per_sec")?,
-            ),
+            workload: got.workload.to_string(),
+            defense: got.defense.map(str::to_string),
+            mode: got.mode,
+            work: [(base_work.0, got_work.0), (base_work.1, got_work.1)],
+            rate: (base.f64_field(rate_field)?, got.f64_field(rate_field)?),
         };
         if !cell.work_matches() {
+            let [first, second] = got.mode.work_fields();
             failures.push(format!(
-                "{label}: simulated work changed — cycles {} -> {}, committed {} -> {}; \
-                 the run is no longer identical to the committed baseline (regenerate the baseline \
-                 if the timing-model change is intentional)",
-                cell.sim_cycles.0, cell.sim_cycles.1, cell.committed.0, cell.committed.1,
+                "{label}: simulated work changed — {first} {} -> {}, {second} {} -> {}; \
+                 the run is no longer identical to the committed baseline (regenerate the \
+                 baseline if the change is intentional)",
+                base_work.0, got_work.0, base_work.1, got_work.1,
             ));
         }
-        if check_throughput {
-            let ratio = cell.throughput_ratio();
-            if ratio < MIN_THROUGHPUT_RATIO {
-                failures.push(format!(
-                    "{label}: committed-inst/s regressed {:.0} -> {:.0} ({ratio:.2}x, \
-                     floor {MIN_THROUGHPUT_RATIO:.2}x)",
-                    cell.committed_per_sec.0, cell.committed_per_sec.1,
-                ));
-            }
+        let ratio = cell.throughput_ratio();
+        if check_throughput && ratio < MIN_THROUGHPUT_RATIO {
+            failures.push(format!(
+                "{label}: {rate_field} regressed {:.0} -> {:.0} ({ratio:.2}x, \
+                 floor {MIN_THROUGHPUT_RATIO:.2}x)",
+                cell.rate.0, cell.rate.1,
+            ));
         }
         cells.push(cell);
     }
@@ -970,44 +990,70 @@ mod tests {
         };
         let a = run_matrix(&opts);
         let b = run_matrix(&opts);
-        assert_eq!(a.len(), 13, "9 detailed + 2 functional + 2 sampled");
+        assert_eq!(
+            a.len(),
+            17,
+            "9 detailed + 2 functional + 2 sampled + 4 stage"
+        );
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.sim_cycles, y.sim_cycles, "{} {:?}", x.workload, x.defense);
-            assert_eq!(x.committed, y.committed, "{} {:?}", x.workload, x.defense);
+            assert_eq!(x.work, y.work, "{}", x.label());
             match x.mode {
                 // Functional cells simulate no cycles at all, by design.
-                CellMode::Functional => assert_eq!(x.sim_cycles, 0),
-                _ => assert!(x.sim_cycles > 0),
+                CellMode::Functional => assert_eq!(x.work.0, 0),
+                _ => assert!(x.work.0 > 0),
             }
-            assert!(x.committed > 0);
+            // A stage checksum may take any value.
+            assert!(x.mode == CellMode::Stage || x.work.1 > 0);
         }
-        assert_eq!(
-            a.iter().filter(|c| c.mode == CellMode::Functional).count(),
-            2
-        );
-        assert_eq!(a.iter().filter(|c| c.mode == CellMode::Sampled).count(), 2);
-        let doc = to_json(&opts, &a);
-        let parsed = Json::parse(&doc.render()).expect("round-trips");
-        validate(&parsed).expect("valid document");
+        let count = |mode| a.iter().filter(|c| c.mode == mode).count();
+        assert_eq!(count(CellMode::Detailed), 9);
+        assert_eq!(count(CellMode::Functional), 2);
+        assert_eq!(count(CellMode::Sampled), 2);
+        let stages: Vec<_> = a[13..].iter().map(|c| (c.workload, c.mode)).collect();
+        assert_eq!(stages, STAGES.map(|(stage, ..)| (stage, CellMode::Stage)));
+        let doc = Json::parse(&to_json(&opts, &a).render()).expect("round-trips");
+        validate(&doc).expect("valid document");
+
+        // Every cell does exactly the committed CI baseline's work. The
+        // rates are not compared: a debug build on the baseline's host
+        // would fall below the floor.
+        let baseline = Json::parse(include_str!("../../../ci/perf-quick-baseline.json"))
+            .expect("the CI baseline parses");
+        validate(&baseline).expect("the CI baseline is a valid report");
+        let cmp = compare(&doc, &baseline, &HostInfo::current(), true).expect("comparable");
+        assert!(cmp.passed(), "{:#?}", cmp.failures);
+        assert_eq!(cmp.cells.len(), 17);
     }
 
-    #[test]
-    fn validate_rejects_wrong_schema() {
-        let doc = Json::parse("{\"schema\":\"nope\",\"cells\":[]}").unwrap();
-        assert!(validate(&doc).is_err());
-    }
-
-    fn tiny_report(committed: u64, per_sec: f64) -> Json {
+    fn report(cells: &[String]) -> Json {
         Json::parse(&format!(
             r#"{{"schema":"{SCHEMA}","machine":"paper-default","mode":"quick",
-                 "host_tag":"test-host",
                  "host":{{"tag":"test-host","rustc":"rustc 1.0.0","cpus":1}},
-                 "cells":[{{"workload":"w","defense":"origin",
-                            "sim_cycles":100,"committed_inst":{committed},
-                            "wall_seconds":0.5,"sim_cycles_per_sec":200.0,
-                            "committed_inst_per_sec":{per_sec}}}]}}"#
+                 "cells":[{}]}}"#,
+            cells.join(",")
         ))
         .expect("test report parses")
+    }
+
+    fn sim_cell(defense: &str, committed: u64, per_sec: f64) -> String {
+        format!(
+            r#"{{"workload":"w","defense":"{defense}","mode":"detailed",
+                 "sim_cycles":100,"committed_inst":{committed},
+                 "wall_seconds":0.5,"sim_cycles_per_sec":200.0,
+                 "committed_inst_per_sec":{per_sec}}}"#
+        )
+    }
+
+    fn stage_cell(ops: u64, per_sec: f64) -> String {
+        format!(
+            r#"{{"workload":"dispatch","mode":"stage","ops":{ops},"checksum":7,
+                 "wall_seconds":0.5,"ops_per_sec":{per_sec}}}"#
+        )
+    }
+
+    /// A detailed cell and a stage cell, both doing `work` at `per_sec`.
+    fn tiny_report(work: u64, per_sec: f64) -> Json {
+        report(&[sim_cell("origin", work, per_sec), stage_cell(work, per_sec)])
     }
 
     fn host(tag: &str) -> HostInfo {
@@ -1019,26 +1065,45 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_wrong_schema() {
+        let doc = Json::parse("{\"schema\":\"nope\",\"cells\":[]}").unwrap();
+        assert!(validate(&doc).is_err());
+        validate(&tiny_report(50, 100.0)).expect("valid");
+        // Every cell names its mode, and a stage cell does work.
+        let modeless = sim_cell("origin", 50, 100.0).replace("\"mode\":\"detailed\",", "");
+        assert!(validate(&report(&[modeless])).is_err());
+        assert!(validate(&report(&[stage_cell(0, 100.0)])).is_err());
+    }
+
+    #[test]
     fn compare_accepts_identical_reports() {
         let report = tiny_report(50, 100.0);
         let cmp = compare(&report, &report, &host("test-host"), false).expect("comparable");
         assert!(cmp.passed(), "{:?}", cmp.failures);
-        assert_eq!(cmp.cells.len(), 1);
+        assert_eq!(cmp.cells.len(), 2);
         assert!(cmp.throughput_note.contains("throughput checked"));
     }
 
     #[test]
     fn compare_fails_on_simulated_work_drift_even_cross_host() {
-        let cmp = compare(
-            &tiny_report(51, 100.0),
-            &tiny_report(50, 100.0),
-            &host("other-host"),
-            false,
-        )
-        .expect("comparable");
+        let base = tiny_report(50, 100.0);
+        let cmp = compare(&tiny_report(51, 100.0), &base, &host("other-host"), false)
+            .expect("comparable");
         assert!(!cmp.passed());
-        assert!(cmp.failures[0].contains("simulated work changed"));
+        assert_eq!(cmp.failures.len(), 2, "{:?}", cmp.failures);
+        assert!(cmp.failures[0].starts_with("w/origin/detailed: simulated work changed"));
+        assert!(cmp.failures[1].starts_with("dispatch/stage: simulated work changed"));
         assert!(cmp.throughput_note.contains("refused"));
+        // A stage cell's checksum is work too.
+        let checksum = stage_cell(50, 100.0).replace("\"checksum\":7", "\"checksum\":8");
+        let cmp =
+            compare(&report(&[checksum]), &base, &host("other-host"), false).expect("comparable");
+        assert_eq!(cmp.failures.len(), 1);
+        assert!(
+            cmp.failures[0].contains("checksum 7 -> 8"),
+            "{:?}",
+            cmp.failures
+        );
     }
 
     #[test]
@@ -1046,43 +1111,43 @@ mod tests {
         let slow = tiny_report(50, 100.0 * (MIN_THROUGHPUT_RATIO - 0.05));
         let base = tiny_report(50, 100.0);
         let matched = compare(&slow, &base, &host("test-host"), false).expect("comparable");
-        assert!(!matched.passed());
-        assert!(matched.failures[0].contains("regressed"));
+        assert_eq!(matched.failures.len(), 2, "{:?}", matched.failures);
+        assert!(matched.failures[0].contains("committed_inst_per_sec regressed"));
+        assert!(matched.failures[1].contains("ops_per_sec regressed"));
         let other = compare(&slow, &base, &host("other-host"), false).expect("comparable");
         assert!(other.passed(), "cross-host throughput is not comparable");
+        assert!(other.throughput_note.contains("tag mismatch"));
         let skipped = compare(&slow, &base, &host("test-host"), true).expect("comparable");
         assert!(skipped.passed(), "env override skips the throughput gate");
         assert!(skipped.throughput_note.contains("CONDSPEC_SKIP_PERF_GUARD"));
     }
 
     #[test]
-    fn compare_accepts_the_ci_wrapper_schema() {
-        let report = tiny_report(50, 100.0);
-        let wrapper = Json::parse(&format!(
-            r#"{{"schema":"condspec-simspeed-quick-baseline-v1",
-                 "host_tag":"test-host","report":{}}}"#,
-            report.render()
-        ))
-        .expect("wrapper parses");
-        let cmp = compare(&report, &wrapper, &host("test-host"), false).expect("comparable");
-        assert!(cmp.passed());
-        assert!(cmp.throughput_note.contains("throughput checked"));
-    }
-
-    #[test]
     fn compare_rejects_structural_mismatch() {
-        let mut other_mode = tiny_report(50, 100.0);
-        if let Json::Object(fields) = &mut other_mode {
-            for (k, v) in fields.iter_mut() {
-                if k == "mode" {
-                    *v = Json::Str("full".to_string());
-                }
-            }
+        let base = tiny_report(50, 100.0);
+        let full_mode = Json::parse(&base.render().replace("\"quick\"", "\"full\"")).unwrap();
+        assert!(compare(&base, &full_mode, &host("h"), false)
+            .unwrap_err()
+            .contains("mode mismatch"));
+        for schema in [
+            "nope",
+            "condspec-simspeed-v1",
+            "condspec-simspeed-quick-baseline-v1",
+        ] {
+            let other = Json::parse(&base.render().replace(SCHEMA, schema)).unwrap();
+            assert!(compare(&base, &other, &host("h"), false)
+                .unwrap_err()
+                .contains("bad schema"));
         }
-        assert!(compare(&tiny_report(50, 100.0), &other_mode, &host("h"), false).is_err());
+        let renamed =
+            Json::parse(&base.render().replace("\"dispatch\"", "\"warp-drive\"")).unwrap();
+        assert!(compare(&renamed, &base, &host("h"), false)
+            .unwrap_err()
+            .contains("warp-drive/stage is not in the baseline"));
+        let as_detailed = base.render().replace("\"stage\"", "\"detailed\"");
         assert!(compare(
-            &tiny_report(50, 100.0),
-            &Json::parse("{\"schema\":\"nope\"}").unwrap(),
+            &Json::parse(&as_detailed).unwrap(),
+            &base,
             &host("h"),
             false
         )
@@ -1113,20 +1178,12 @@ mod tests {
 
     #[test]
     fn compare_tolerates_an_only_subset_of_the_baseline() {
-        let full = Json::parse(&format!(
-            r#"{{"schema":"{SCHEMA}","machine":"paper-default","mode":"quick",
-                 "host_tag":"test-host",
-                 "cells":[{{"workload":"w","defense":"origin",
-                            "sim_cycles":100,"committed_inst":50,
-                            "wall_seconds":0.5,"sim_cycles_per_sec":200.0,
-                            "committed_inst_per_sec":100.0}},
-                          {{"workload":"w","defense":"cache-hit",
-                            "sim_cycles":120,"committed_inst":50,
-                            "wall_seconds":0.5,"sim_cycles_per_sec":240.0,
-                            "committed_inst_per_sec":100.0}}]}}"#
-        ))
-        .expect("full report parses");
-        let subset = tiny_report(50, 100.0);
+        let full = report(&[
+            sim_cell("origin", 50, 100.0),
+            sim_cell("cache-hit", 50, 100.0),
+            stage_cell(50, 100.0),
+        ]);
+        let subset = report(&[sim_cell("origin", 50, 100.0)]);
         let cmp = compare(&subset, &full, &host("test-host"), false).expect("comparable");
         assert!(cmp.passed(), "{:?}", cmp.failures);
         assert_eq!(cmp.cells.len(), 1, "only the overlapping cell compares");
@@ -1164,11 +1221,12 @@ mod tests {
         };
         let cells = run_matrix(&opts);
         // counting-loop:origin matches one detailed cell and the
-        // functional cell (functional rows run under Origin).
+        // functional cell (functional rows run under Origin); no stage
+        // cell.
         assert_eq!(cells.len(), 2);
         for cell in &cells {
             assert_eq!(cell.workload, "counting-loop");
-            assert_eq!(cell.defense, DefenseConfig::Origin);
+            assert_eq!(cell.defense, Some(DefenseConfig::Origin));
         }
         assert_eq!(cells[0].mode, CellMode::Detailed);
         assert_eq!(cells[1].mode, CellMode::Functional);

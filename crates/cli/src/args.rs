@@ -6,6 +6,7 @@ use condspec_attacks::AttackScenario;
 use condspec_bench::perf::CellFilter;
 use condspec_workloads::GadgetKind;
 use std::error::Error;
+use std::ffi::OsString;
 use std::fmt;
 
 /// Output format for `condspec trace`.
@@ -247,27 +248,20 @@ pub enum Command {
         /// Run without a persistent store.
         no_store: bool,
     },
-    /// Measure simulator throughput over the fixed workload matrix.
+    /// Measure simulator throughput over the fixed cell matrix,
+    /// simulation and stage cells alike.
     Perf {
         /// Reduced workload sizes for CI smoke runs.
         quick: bool,
         /// Machine preset (boxed: `MachineConfig` dwarfs the other variants).
         machine: Box<MachineConfig>,
-        /// Restrict the matrix to `<workload>[:<defense>]`.
+        /// Restrict the run to `<workload>[:<defense>]`.
         only: Option<CellFilter>,
-        /// Write the JSON document here instead of stdout.
+        /// Write the JSON report here instead of stdout.
         out: Option<String>,
-        /// Baseline simspeed JSON to diff against; regressions exit
-        /// non-zero (the CI perf guard).
+        /// Baseline report to diff against; regressions exit non-zero
+        /// (the CI perf guard).
         compare: Option<String>,
-        /// Also run the per-stage microbenchmark suite.
-        stages: bool,
-        /// Write the stagespeed JSON document here instead of stdout
-        /// (implies `--stages`).
-        stage_out: Option<String>,
-        /// Baseline stagespeed JSON to diff against; regressions exit
-        /// non-zero (implies `--stages`).
-        stage_baseline: Option<String>,
     },
     /// List the benchmark suite and machine presets.
     List,
@@ -319,8 +313,6 @@ USAGE:
                    [--store-root <dir>] [--no-store]
   condspec perf    [--quick] [--machine <name>] [--out <file>]
                    [--compare <baseline.json>] [--only <workload>[:<defense>]]
-                   [--stages] [--stage-out <file>]
-                   [--stage-baseline <baseline.json>]
   condspec list
   condspec help
 
@@ -402,6 +394,26 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Parse
     } else {
         Ok(None)
     }
+}
+
+/// Converts the process arguments to strings. A Linux path may be any
+/// bytes, so an argument that is not UTF-8 is an error that names it,
+/// not a panic.
+///
+/// # Errors
+///
+/// Returns [`ParseError`] for the first argument that is not UTF-8.
+pub fn utf8_args(args: impl IntoIterator<Item = OsString>) -> Result<Vec<String>, ParseError> {
+    args.into_iter()
+        .map(|arg| {
+            arg.into_string().map_err(|bad| {
+                ParseError(format!(
+                    "argument `{}` is not valid UTF-8",
+                    bad.to_string_lossy()
+                ))
+            })
+        })
+        .collect()
 }
 
 /// Parses a full argument vector (without the program name).
@@ -856,18 +868,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 .transpose()?;
             let out = take_flag(&mut rest, "--out")?;
             let compare = take_flag(&mut rest, "--compare")?;
-            let stages_switch = take_switch(&mut rest, "--stages");
-            let stage_out = take_flag(&mut rest, "--stage-out")?;
-            let stage_baseline = take_flag(&mut rest, "--stage-baseline")?;
             Command::Perf {
                 quick,
                 machine,
                 only,
                 out,
                 compare,
-                stages: stages_switch || stage_out.is_some() || stage_baseline.is_some(),
-                stage_out,
-                stage_baseline,
             }
         }
         "list" => Command::List,
@@ -1440,18 +1446,12 @@ mod tests {
                 only,
                 out,
                 compare,
-                stages,
-                stage_out,
-                stage_baseline,
             } => {
                 assert!(!quick);
                 assert_eq!(machine.name, MachineConfig::paper_default().name);
                 assert_eq!(only, None);
                 assert_eq!(out, None);
                 assert_eq!(compare, None);
-                assert!(!stages);
-                assert_eq!(stage_out, None);
-                assert_eq!(stage_baseline, None);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1481,11 +1481,10 @@ mod tests {
     #[test]
     fn perf_only_and_stage_flags_parse() {
         match parse(&argv("perf --only pointer-chase:origin")).unwrap() {
-            Command::Perf { only, stages, .. } => {
+            Command::Perf { only, .. } => {
                 let filter = only.expect("filter parsed");
                 assert_eq!(filter.workload, "pointer-chase");
                 assert_eq!(filter.defense, Some(DefenseConfig::Origin));
-                assert!(!stages);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1498,23 +1497,19 @@ mod tests {
         assert!(parse(&argv("perf --only nope")).is_err());
         assert!(parse(&argv("perf --only pointer-chase:nope")).is_err());
 
-        match parse(&argv("perf --stages")).unwrap() {
-            Command::Perf { stages, .. } => assert!(stages),
-            other => panic!("unexpected {other:?}"),
-        }
-        // --stage-out / --stage-baseline imply the suite.
-        match parse(&argv("perf --stage-out s.json --stage-baseline b.json")).unwrap() {
-            Command::Perf {
-                stages,
-                stage_out,
-                stage_baseline,
-                ..
-            } => {
-                assert!(stages);
-                assert_eq!(stage_out, Some("s.json".to_string()));
-                assert_eq!(stage_baseline, Some("b.json".to_string()));
-            }
-            other => panic!("unexpected {other:?}"),
+        // Stage cells run in every unfiltered run; no flag selects them.
+        for stage_flag in [
+            "perf --stages",
+            "perf --stage-out s.json",
+            "perf --stage-baseline b.json",
+        ] {
+            assert!(
+                parse(&argv(stage_flag))
+                    .unwrap_err()
+                    .0
+                    .contains("unexpected"),
+                "{stage_flag}"
+            );
         }
     }
 
@@ -1529,5 +1524,138 @@ mod tests {
             "flag without value"
         );
         assert!(parse(&argv("attack stray")).is_err(), "stray positional");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn utf8_args_names_a_non_utf8_argument() {
+        use std::os::unix::ffi::OsStringExt;
+        let path = OsString::from_vec(b"\xff.bin".to_vec());
+        let err = utf8_args(["run".into(), "--file".into(), path]).unwrap_err();
+        assert_eq!(err.0, "argument `\u{fffd}.bin` is not valid UTF-8");
+        assert_eq!(
+            utf8_args(["perf".into(), "--quick".into()]).unwrap(),
+            argv("perf --quick")
+        );
+    }
+
+    /// Seeded argv vectors built from the real subcommands and flags plus
+    /// hostile values — a flag with no value, `0`, `-1`, a value past
+    /// `u64::MAX`, empty strings, repeated and unknown flags: each one
+    /// parses to `Ok` or `Err`, and none panics.
+    #[test]
+    fn hostile_argv_never_panics() {
+        const COMMANDS: [&str; 17] = [
+            "attack",
+            "variant",
+            "leaks",
+            "bench",
+            "run",
+            "save",
+            "trace",
+            "timeseries",
+            "report",
+            "sweep",
+            "worker",
+            "store",
+            "serve",
+            "perf",
+            "list",
+            "help",
+            "frobnicate",
+        ];
+        const FLAGS: [&str; 40] = [
+            "--scenario",
+            "--defense",
+            "--kind",
+            "--gadget",
+            "--all",
+            "--quick",
+            "--out",
+            "--name",
+            "--machine",
+            "--iters",
+            "--file",
+            "--max-cycles",
+            "--mode",
+            "--checkpoints",
+            "--window",
+            "--events",
+            "--format",
+            "--rows",
+            "--root",
+            "--store",
+            "--store-root",
+            "--jobs",
+            "--resume",
+            "--quiet",
+            "--progress",
+            "--telemetry",
+            "--warmup",
+            "--shards",
+            "--owner",
+            "--steal-after-ms",
+            "--attach",
+            "--poll-ms",
+            "--drain",
+            "--addr",
+            "--no-store",
+            "--compare",
+            "--only",
+            "--stages",
+            "--bogus",
+            "-h",
+        ];
+        const VALUES: [&str; 22] = [
+            "",
+            "0",
+            "-1",
+            "1",
+            "7",
+            "18446744073709551615",
+            "18446744073709551616",
+            "v1",
+            "gcc",
+            "origin",
+            "tpbuf",
+            "i7",
+            "sampled",
+            "perfetto",
+            "csv",
+            "stats",
+            "fig5",
+            "pointer-chase:origin",
+            "commit",
+            "nope",
+            "127.0.0.1:0",
+            "--",
+        ];
+        let mut rng = condspec_stats::SplitMix64::new(0x00a1_65e5_2026);
+        let mut pick = |choices: &[&str]| {
+            choices[(rng.next_u64() % choices.len() as u64) as usize].to_string()
+        };
+        let mut parsed = 0;
+        for _ in 0..4_000 {
+            let mut args = vec![pick(&COMMANDS)];
+            let words = pick(&["0", "1", "2", "3", "4", "6", "8"]).parse().unwrap();
+            for _ in 0..words {
+                // A flag alone (perhaps the last word: no value), a flag
+                // with a value, or a bare value.
+                match pick(&["flag", "flag", "pair", "value"]).as_str() {
+                    "flag" => args.push(pick(&FLAGS)),
+                    "pair" => {
+                        args.push(pick(&FLAGS));
+                        args.push(pick(&VALUES));
+                    }
+                    _ => args.push(pick(&VALUES)),
+                }
+            }
+            match std::panic::catch_unwind(|| parse(&args)) {
+                Ok(result) => parsed += usize::from(result.is_ok()),
+                Err(_) => panic!("parse panicked on {args:?}"),
+            }
+        }
+        // The generator reaches real commands, not only errors.
+        assert!(parsed > 200, "only {parsed} of 4000 argv vectors parsed");
     }
 }

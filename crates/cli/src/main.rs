@@ -4,7 +4,7 @@
 
 mod args;
 
-use args::{parse, Command, RunMode, SeriesFormat, StoreAction, TraceFormat, USAGE};
+use args::{parse, utf8_args, Command, RunMode, SeriesFormat, StoreAction, TraceFormat, USAGE};
 use condspec::{
     leak_report_to_json, run_timeseries, DefenseConfig, ExitReason, SimConfig, Simulator,
 };
@@ -17,8 +17,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&argv) {
+    match utf8_args(std::env::args_os().skip(1)).and_then(|argv| parse(&argv)) {
         Ok(cmd) => run(cmd),
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -777,50 +776,37 @@ fn run(cmd: Command) -> ExitCode {
             only,
             out,
             compare,
-            stages,
-            stage_out,
-            stage_baseline,
         } => {
-            use condspec_bench::{perf, stage};
+            use condspec_bench::perf;
             let opts = perf::PerfOptions {
                 machine: *machine,
                 quick,
                 only,
             };
             let cells = perf::run_matrix(&opts);
-            let doc = perf::to_json(&opts, &cells);
-            let rendered = format!("{}\n", doc.render());
+            let rendered = format!("{}\n", perf::to_json(&opts, &cells).render());
             // Round-trip + sanity before reporting success: the CI smoke
             // step relies on this exit code.
-            let reparsed = match condspec_stats::Json::parse(&rendered) {
+            let report = match condspec_stats::Json::parse(&rendered) {
                 Ok(j) => j,
                 Err(e) => {
                     eprintln!("perf JSON does not round-trip: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            if let Err(e) = perf::validate(&reparsed) {
+            if let Err(e) = perf::validate(&report) {
                 eprintln!("perf output failed validation: {e}");
                 return ExitCode::FAILURE;
             }
-            let mut t = TextTable::with_columns(&[
-                "workload",
-                "defense",
-                "mode",
-                "sim cycles",
-                "committed",
-                "Mcycles/s",
-                "Minst/s",
-            ]);
+            let mut t = TextTable::with_columns(&["workload", "defense", "mode", "work", "rate"]);
             for c in &cells {
+                let [first, second] = c.mode.work_fields();
                 t.row(vec![
                     c.workload.to_string(),
-                    c.defense.label().to_string(),
+                    c.defense.map_or("-", |d| d.label()).to_string(),
                     c.mode.key().to_string(),
-                    c.sim_cycles.to_string(),
-                    c.committed.to_string(),
-                    format!("{:.2}", c.cycles_per_sec() / 1e6),
-                    format!("{:.2}", c.committed_per_sec() / 1e6),
+                    format!("{first} {}, {second} {}", c.work.0, c.work.1),
+                    format!("{:.2} {}", c.rate() / 1e6, c.mode.rate_unit()),
                 ]);
             }
             eprintln!("simulator throughput on {}:\n", opts.machine.name);
@@ -835,168 +821,63 @@ fn run(cmd: Command) -> ExitCode {
                 }
                 None => print!("{rendered}"),
             }
+            let Some(baseline_path) = compare else {
+                return ExitCode::SUCCESS;
+            };
 
-            let host = perf::HostInfo::current();
+            let baseline = match std::fs::read_to_string(&baseline_path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| condspec_stats::Json::parse(&text).map_err(|e| e.to_string()))
+            {
+                Ok(doc) => doc,
+                Err(e) => {
+                    eprintln!("cannot load baseline {baseline_path}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             let skip = std::env::var_os("CONDSPEC_SKIP_PERF_GUARD").is_some();
-            let mut failed = false;
-
-            if let Some(baseline_path) = compare {
-                let baseline = match std::fs::read_to_string(&baseline_path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|text| condspec_stats::Json::parse(&text).map_err(|e| e.to_string()))
-                {
-                    Ok(doc) => doc,
-                    Err(e) => {
-                        eprintln!("cannot load baseline {baseline_path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let comparison = match perf::compare(&reparsed, &baseline, &host, skip) {
+            let comparison =
+                match perf::compare(&report, &baseline, &perf::HostInfo::current(), skip) {
                     Ok(c) => c,
                     Err(e) => {
                         eprintln!("cannot compare against {baseline_path}: {e}");
                         return ExitCode::FAILURE;
                     }
                 };
-                let mut t = TextTable::with_columns(&[
-                    "workload",
-                    "defense",
-                    "mode",
-                    "sim work",
-                    "base Minst/s",
-                    "now Minst/s",
-                    "ratio",
-                ]);
-                for c in &comparison.cells {
-                    t.row(vec![
-                        c.workload.clone(),
-                        c.defense.clone(),
-                        c.mode.clone(),
-                        if c.work_matches() {
-                            "identical".to_string()
-                        } else {
-                            format!(
-                                "cycles {} -> {}, committed {} -> {}",
-                                c.sim_cycles.0, c.sim_cycles.1, c.committed.0, c.committed.1
-                            )
-                        },
-                        format!("{:.2}", c.committed_per_sec.0 / 1e6),
-                        format!("{:.2}", c.committed_per_sec.1 / 1e6),
-                        format!("{:.2}x", c.throughput_ratio()),
-                    ]);
-                }
-                eprintln!("comparison against {baseline_path}:\n");
-                eprintln!("{t}");
-                eprintln!("{}", comparison.throughput_note);
-                if comparison.passed() {
-                    eprintln!("perf guard ok: all {} cells pass", comparison.cells.len());
-                } else {
-                    for failure in &comparison.failures {
-                        eprintln!("perf regression: {failure}");
-                    }
-                    failed = true;
-                }
-            }
-
-            if stages {
-                let stage_opts = stage::StageOptions { quick };
-                let stage_cells = stage::run_suite(&stage_opts);
-                let stage_doc = stage::to_json(&stage_opts, &stage_cells);
-                let stage_rendered = format!("{}\n", stage_doc.render());
-                let stage_reparsed = match condspec_stats::Json::parse(&stage_rendered) {
-                    Ok(j) => j,
-                    Err(e) => {
-                        eprintln!("stage JSON does not round-trip: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if let Err(e) = stage::validate(&stage_reparsed) {
-                    eprintln!("stage output failed validation: {e}");
-                    return ExitCode::FAILURE;
-                }
-                let mut t =
-                    TextTable::with_columns(&["stage", "ops", "checksum", "wall s", "Mops/s"]);
-                for c in &stage_cells {
-                    t.row(vec![
-                        c.stage.to_string(),
-                        c.ops.to_string(),
-                        format!("{:#018x}", c.checksum),
-                        format!("{:.3}", c.wall_seconds),
-                        format!("{:.2}", c.ops_per_sec() / 1e6),
-                    ]);
-                }
-                eprintln!("per-stage microbenchmarks:\n");
-                eprintln!("{t}");
-                match stage_out {
-                    Some(path) => {
-                        if let Err(e) = std::fs::write(&path, &stage_rendered) {
-                            eprintln!("cannot write {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                        println!("wrote {path}");
-                    }
-                    None => print!("{stage_rendered}"),
-                }
-                if let Some(baseline_path) = stage_baseline {
-                    let baseline = match std::fs::read_to_string(&baseline_path)
-                        .map_err(|e| e.to_string())
-                        .and_then(|text| {
-                            condspec_stats::Json::parse(&text).map_err(|e| e.to_string())
-                        }) {
-                        Ok(doc) => doc,
-                        Err(e) => {
-                            eprintln!("cannot load stage baseline {baseline_path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    let comparison = match stage::compare(&stage_reparsed, &baseline, &host, skip) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            eprintln!("cannot compare against {baseline_path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    let mut t = TextTable::with_columns(&[
-                        "stage",
-                        "work",
-                        "base Mops/s",
-                        "now Mops/s",
-                        "ratio",
-                    ]);
-                    for c in &comparison.cells {
-                        t.row(vec![
-                            c.stage.clone(),
-                            if c.work_matches() {
-                                "identical".to_string()
-                            } else {
-                                format!(
-                                    "ops {} -> {}, checksum {:#x} -> {:#x}",
-                                    c.ops.0, c.ops.1, c.checksum.0, c.checksum.1
-                                )
-                            },
-                            format!("{:.2}", c.ops_per_sec.0 / 1e6),
-                            format!("{:.2}", c.ops_per_sec.1 / 1e6),
-                            format!("{:.2}x", c.throughput_ratio()),
-                        ]);
-                    }
-                    eprintln!("stage comparison against {baseline_path}:\n");
-                    eprintln!("{t}");
-                    eprintln!("{}", comparison.throughput_note);
-                    if comparison.passed() {
-                        eprintln!("stage guard ok: all {} cells pass", comparison.cells.len());
+            let mut t = TextTable::with_columns(&[
+                "workload", "defense", "mode", "work", "base", "now", "ratio",
+            ]);
+            for c in &comparison.cells {
+                let [first, second] = c.mode.work_fields();
+                let unit = c.mode.rate_unit();
+                t.row(vec![
+                    c.workload.clone(),
+                    c.defense.clone().unwrap_or_else(|| "-".to_string()),
+                    c.mode.key().to_string(),
+                    if c.work_matches() {
+                        "identical".to_string()
                     } else {
-                        for failure in &comparison.failures {
-                            eprintln!("stage regression: {failure}");
-                        }
-                        failed = true;
-                    }
-                }
+                        format!(
+                            "{first} {} -> {}, {second} {} -> {}",
+                            c.work[0].0, c.work[0].1, c.work[1].0, c.work[1].1
+                        )
+                    },
+                    format!("{:.2} {unit}", c.rate.0 / 1e6),
+                    format!("{:.2} {unit}", c.rate.1 / 1e6),
+                    format!("{:.2}x", c.throughput_ratio()),
+                ]);
             }
-
-            if failed {
-                ExitCode::FAILURE
-            } else {
+            eprintln!("comparison against {baseline_path}:\n");
+            eprintln!("{t}");
+            eprintln!("{}", comparison.throughput_note);
+            if comparison.passed() {
+                eprintln!("perf guard ok: all {} cells pass", comparison.cells.len());
                 ExitCode::SUCCESS
+            } else {
+                for failure in &comparison.failures {
+                    eprintln!("perf regression: {failure}");
+                }
+                ExitCode::FAILURE
             }
         }
         Command::Bench {

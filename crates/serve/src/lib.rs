@@ -650,6 +650,32 @@ fn serve_leaks(stream: &mut TcpStream, request: &Request) -> io::Result<()> {
     respond_json(stream, 200, &format!("{}\n", Json::object(fields).render()))
 }
 
+/// The numeric query parameter `name`: `Ok(None)` when absent, an error
+/// naming it when its value does not parse.
+fn query_number<T: std::str::FromStr>(request: &Request, name: &str) -> Result<Option<T>, String> {
+    request
+        .query(name)
+        .map(|v| v.parse().map_err(|_| format!("bad {name} `{v}`")))
+        .transpose()
+}
+
+/// `/api/timeseries`'s numeric parameters: the `iters` and `warmup`
+/// overrides, `window` (cycles) and `rows`, checked as the CLI checks
+/// them.
+fn timeseries_numbers(request: &Request) -> Result<(Option<u64>, Option<u64>, u64, usize), String> {
+    let iters = query_number(request, "iters")?;
+    let warmup = query_number(request, "warmup")?;
+    let window = query_number(request, "window")?.unwrap_or(10_000);
+    if window == 0 {
+        return Err("window must be at least 1 cycle".to_string());
+    }
+    let rows = query_number(request, "rows")?.unwrap_or(512);
+    if rows == 0 {
+        return Err("rows must be at least 1".to_string());
+    }
+    Ok((iters, warmup, window, rows))
+}
+
 /// Perfetto (Chrome JSON) trace of one traced attack round.
 fn serve_trace(stream: &mut TcpStream, request: &Request) -> io::Result<()> {
     let key = request.query("variant").unwrap_or("v1");
@@ -673,10 +699,10 @@ fn serve_trace(stream: &mut TcpStream, request: &Request) -> io::Result<()> {
         },
         None => DefenseConfig::CacheHitTpbuf,
     };
-    let events = request
-        .query("events")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4096usize);
+    let events = match query_number(request, "events") {
+        Ok(events) => events.unwrap_or(4096usize),
+        Err(e) => return respond_json(stream, 400, &error_json(&e)),
+    };
     let trace = traced_variant_round(kind, defense, events);
     let doc = condspec_pipeline::perfetto::to_chrome_trace(&trace);
     respond_json(stream, 200, &format!("{}\n", doc.render()))
@@ -707,26 +733,20 @@ fn serve_timeseries(stream: &mut TcpStream, request: &Request) -> io::Result<()>
         },
         None => DefenseConfig::CacheHitTpbuf,
     };
+    let (iters, warmup, window, rows) = match timeseries_numbers(request) {
+        Ok(numbers) => numbers,
+        Err(e) => return respond_json(stream, 400, &error_json(&e)),
+    };
     let mut job = JobSpec::bench(spec.name, defense);
     if let Workload::Bench {
-        iterations, warmup, ..
+        iterations,
+        warmup: warmup_iterations,
+        ..
     } = &mut job.workload
     {
-        if let Some(i) = request.query("iters").and_then(|v| v.parse().ok()) {
-            *iterations = i;
-        }
-        if let Some(w) = request.query("warmup").and_then(|v| v.parse().ok()) {
-            *warmup = w;
-        }
+        *iterations = iters.unwrap_or(*iterations);
+        *warmup_iterations = warmup.unwrap_or(*warmup_iterations);
     }
-    let window = request
-        .query("window")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000u64);
-    let rows = request
-        .query("rows")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(512usize);
     let doc = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         job.execute_timeseries(window, rows)
     }));

@@ -774,6 +774,9 @@ fn daemon_round_trip_with_warm_store_second_submission() {
     assert!(body.contains("traceEvents"), "{body}");
     let (status, _) = get(addr, "/api/trace?variant=vax");
     assert_eq!(status, 400);
+    let (status, body) = get(addr, "/api/trace?variant=v1&events=many");
+    assert_eq!(status, 400);
+    assert!(body.contains("bad events `many`"), "{body}");
     let (status, body) = get(
         addr,
         "/api/timeseries?benchmark=gcc&iters=2&warmup=1&window=2000&rows=16",
@@ -782,6 +785,23 @@ fn daemon_round_trip_with_warm_store_second_submission() {
     assert!(body.contains("timeseries"), "{body}");
     let (status, _) = get(addr, "/api/timeseries?benchmark=vax");
     assert_eq!(status, 400);
+    // Numeric parameters are checked, not defaulted or passed on to a
+    // sampler that cannot take them.
+    for (query, error) in [
+        ("window=0", "window must be at least 1 cycle"),
+        ("rows=0", "rows must be at least 1"),
+        ("window=abc", "bad window `abc`"),
+        ("rows=-1", "bad rows `-1`"),
+        ("iters=two", "bad iters `two`"),
+        (
+            "warmup=18446744073709551616",
+            "bad warmup `18446744073709551616`",
+        ),
+    ] {
+        let (status, body) = get(addr, &format!("/api/timeseries?benchmark=gcc&{query}"));
+        assert_eq!(status, 400, "{query}: {body}");
+        assert!(body.contains(error), "{query}: {body}");
+    }
 
     // Graceful shutdown: the accept loop exits and the thread joins.
     let (status, body) = post(addr, "/api/shutdown", "");
