@@ -235,14 +235,18 @@ echo "==> security sweep digests (table4 --jobs 1 and leaks --jobs 2 match perfb
 # simulator runs all 40 table4 jobs; two workers split the 16 leak
 # probes. No store is involved, so every artifact is simulated here and
 # must equal the committed reference byte for byte (compared by sha256;
-# the reference file is only read).
+# the reference file is only read). The rendered tables — stdout without
+# the closing `sweep <id>:` line, which names the run directory — are
+# pinned by the observation digests below.
 sec_table4="target/perf-smoke/security-table4"
 sec_leaks="target/perf-smoke/security-leaks"
 rm -rf "$sec_table4" "$sec_leaks"
 ./target/release/condspec sweep table4 --jobs 1 --root "$sec_table4" \
-    > /dev/null 2> target/perf-smoke/security-table4.log
+    > "$sec_table4.out" 2> "$sec_table4.log"
 ./target/release/condspec sweep leaks --jobs 2 --root "$sec_leaks" \
-    > /dev/null 2> target/perf-smoke/security-leaks.log
+    > "$sec_leaks.out" 2> "$sec_leaks.log"
+sed '$d' "$sec_table4.out" > target/perf-smoke/sweep-table4.txt
+sed '$d' "$sec_leaks.out" > target/perf-smoke/sweep-leaks.txt
 python3 - perfbench/reference/security-artifacts.sha256 "$sec_table4" "$sec_leaks" <<'EOF'
 import hashlib, pathlib, sys
 
@@ -267,16 +271,18 @@ print(f"security digests ok: {len(want)}/{len(want)} artifacts match the referen
 EOF
 rm -rf "$sec_table4" "$sec_leaks"
 
-echo "==> observation digests (timeseries, trace, sampled-run and leaks outputs match ci/observation-digests.sha256)"
+echo "==> observation digests (timeseries, trace, sampled-run, leaks and security-table outputs match ci/observation-digests.sha256)"
 # The smokes above only compare two runs of the same binary, which
 # cannot see a change that alters what the simulator observes. These
 # digests pin the outputs themselves: the timeseries series (JSON and
-# CSV), the Perfetto trace of a V1 round, the quick leak matrix and the
+# CSV), the Perfetto trace of a V1 round, the quick leak matrix, the
 # sampled run's window table and stitched estimate (its output below
-# the wall-time header). A change that legitimately alters them
-# regenerates the file with
+# the wall-time header), and the rendered Table IV and leak-matrix
+# sweeps. A change that legitimately alters them regenerates the file
+# with
 #     (cd target/perf-smoke && sha256sum timeseries.json timeseries.csv \
-#         trace.json leaks-quick.txt sampled-run.body) > ci/observation-digests.sha256
+#         trace.json leaks-quick.txt sampled-run.body sweep-table4.txt \
+#         sweep-leaks.txt) > ci/observation-digests.sha256
 ./target/release/condspec timeseries --name gcc --iters 2 --window 2000 --format csv \
     --out target/perf-smoke/timeseries.csv
 (cd target/perf-smoke && sha256sum -c ../../ci/observation-digests.sha256)

@@ -1,9 +1,14 @@
-//! Shared experiment-harness helpers for the table/figure reproductions.
+//! The simulator-throughput guard behind `condspec perf` ([`perf`]),
+//! and the helpers of this crate's three `cargo bench` studies.
 //!
-//! Every `cargo bench` target in this crate regenerates one of the
-//! paper's tables or figures; the sweep logic they share (run a
-//! calibrated benchmark on a configured machine, with warm-up, and
-//! collect the paper's metrics) lives here.
+//! The paper's tables and figures come from the engine's named sweeps
+//! (`condspec sweep <name>`). The `cargo bench` targets here cover what
+//! no sweep does — the §VI.E hardware-overhead microbenchmarks
+//! (`hw_overhead`), the blanket-`lfence` comparison
+//! (`fence_mitigation`) and the next-line-prefetcher ablation
+//! (`prefetch_ablation`) — and the last two share [`run_benchmark`]:
+//! run a calibrated benchmark on a configured machine, with warm-up,
+//! and collect the paper's metrics.
 
 pub mod perf;
 mod stage;
@@ -57,77 +62,6 @@ pub fn run_benchmark(
         benchmark: spec.name,
         defense: config.defense,
         report,
-    }
-}
-
-/// The shared entry point of the table/figure harnesses: runs the named
-/// engine sweep and prints its rendered table.
-///
-/// Recognized arguments (everything else — e.g. the `--bench` flag
-/// cargo passes to harness binaries — is ignored): `--jobs <n>`,
-/// `--resume`, `--quiet`, `--root <dir>`.
-pub fn sweep_main(name: &str) -> std::process::ExitCode {
-    use std::process::ExitCode;
-
-    // A path may be any bytes: refuse a non-UTF-8 argument, don't panic.
-    let args: Vec<String> = match std::env::args_os()
-        .skip(1)
-        .map(std::ffi::OsString::into_string)
-        .collect()
-    {
-        Ok(args) => args,
-        Err(bad) => {
-            eprintln!("argument `{}` is not valid UTF-8", bad.to_string_lossy());
-            return ExitCode::FAILURE;
-        }
-    };
-    let sweep = condspec_engine::Sweep::by_name(name).expect("harness names a known sweep");
-    let mut opts = condspec_engine::SweepOptions {
-        resume: args.iter().any(|a| a == "--resume"),
-        quiet: args.iter().any(|a| a == "--quiet"),
-        ..Default::default()
-    };
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|pos| args.get(pos + 1))
-            .cloned()
-    };
-    if let Some(jobs) = value_of("--jobs") {
-        match jobs.parse::<usize>() {
-            Ok(n) => opts.workers = n,
-            Err(_) => {
-                eprintln!("bad --jobs `{jobs}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(root) = value_of("--root") {
-        opts.root = root.into();
-    }
-    let outcome = match condspec_engine::run_sweep(&sweep, &opts) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("sweep {name} failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{}", sweep.render(&outcome.results));
-    println!(
-        "sweep {}: {} executed, {} skipped, {} failed — artifacts in {}",
-        outcome.sweep_id,
-        outcome.executed,
-        outcome.skipped,
-        outcome.failed.len(),
-        outcome.dir.display()
-    );
-    for (hash, label, error) in &outcome.failed {
-        eprintln!("failed job {hash} ({label}): {error}");
-    }
-    if outcome.failed.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 

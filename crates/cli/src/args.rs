@@ -193,19 +193,21 @@ pub enum Command {
         /// Stale-lease steal timeout in milliseconds (claim mode).
         steal_after_ms: Option<u64>,
         /// Submit to a running daemon as a distributed sweep and stream
-        /// progress instead of simulating locally.
+        /// progress instead of simulating locally; only `iters` and
+        /// `warmup` apply with it.
         attach: Option<String>,
     },
     /// Drain sweep jobs as one shard of a distributed run: claim over a
     /// shared store root, or pull work from a daemon via `--attach`.
     Worker {
-        /// Sweep name to drain (local store mode; ignored with
+        /// Sweep name to drain (local store mode; refused with
         /// `--attach`, where the daemon names the work).
         sweep: Option<String>,
         /// Pull work from this daemon address instead of a local store.
         attach: Option<String>,
         /// Store root; `None` = `target/condspec-store` (or
-        /// `$CONDSPEC_STORE_ROOT`).
+        /// `$CONDSPEC_STORE_ROOT`). Local store mode only, like `jobs`
+        /// and `steal_after_ms`.
         store_root: Option<String>,
         /// Owner id recorded in leases and provenance; `None` =
         /// `shard-<pid>`.
@@ -396,6 +398,38 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Parse
     }
 }
 
+/// Pulls the value of `--flag` out of `args` and parses it with `parse`.
+fn take_parsed<T>(
+    args: &mut Vec<String>,
+    flag: &str,
+    parse: impl FnOnce(&str) -> Result<T, ParseError>,
+) -> Result<Option<T>, ParseError> {
+    take_flag(args, flag)?
+        .map(|value| parse(&value))
+        .transpose()
+}
+
+/// [`take_parsed`] for a number: a value that does not parse is
+/// ``bad --flag `value` ``.
+fn take_number<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    flag: &str,
+) -> Result<Option<T>, ParseError> {
+    take_parsed(args, flag, |s| {
+        s.parse()
+            .map_err(|_| ParseError(format!("bad {flag} `{s}`")))
+    })
+}
+
+/// Refuses the first flag of `given` that was passed (`true`) although
+/// `mode` ignores it.
+fn refuse_ignored(mode: &str, given: &[(&str, bool)]) -> Result<(), ParseError> {
+    match given.iter().find(|(_, passed)| *passed) {
+        Some((flag, _)) => Err(ParseError(format!("{flag} does not apply to {mode}"))),
+        None => Ok(()),
+    }
+}
+
 /// Converts the process arguments to strings. A Linux path may be any
 /// bytes, so an argument that is not UTF-8 is an error that names it,
 /// not a panic.
@@ -429,29 +463,21 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let mut rest: Vec<String> = rest.to_vec();
     let parsed = match command.as_str() {
         "attack" => {
-            let scenario = take_flag(&mut rest, "--scenario")?
-                .map(|s| parse_scenario(&s))
-                .transpose()?;
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
+            let scenario = take_parsed(&mut rest, "--scenario", parse_scenario)?;
+            let defense = take_parsed(&mut rest, "--defense", parse_defense)?;
             Command::Attack { scenario, defense }
         }
         "variant" => {
             let kind = take_flag(&mut rest, "--kind")?
                 .ok_or_else(|| ParseError("variant requires --kind".into()))?;
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
+            let defense = take_parsed(&mut rest, "--defense", parse_defense)?;
             Command::Variant {
                 kind: parse_kind(&kind)?,
                 defense,
             }
         }
         "leaks" => {
-            let gadget = take_flag(&mut rest, "--gadget")?
-                .map(|s| parse_kind(&s))
-                .transpose()?;
+            let gadget = take_parsed(&mut rest, "--gadget", parse_kind)?;
             let all = take_switch(&mut rest, "--all");
             let quick = take_switch(&mut rest, "--quick");
             if gadget.is_some() && (all || quick) {
@@ -460,9 +486,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             if all && quick {
                 return Err(ParseError("--all conflicts with --quick".into()));
             }
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
+            let defense = take_parsed(&mut rest, "--defense", parse_defense)?;
             let out = take_flag(&mut rest, "--out")?;
             Command::Leaks {
                 gadget,
@@ -474,22 +498,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "bench" => {
             let name = take_flag(&mut rest, "--name")?
                 .ok_or_else(|| ParseError("bench requires --name".into()))?;
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
+            let defense = take_parsed(&mut rest, "--defense", parse_defense)?;
             let machine = Box::new(
-                take_flag(&mut rest, "--machine")?
-                    .map(|s| parse_machine(&s))
-                    .transpose()?
+                take_parsed(&mut rest, "--machine", parse_machine)?
                     .unwrap_or_else(MachineConfig::paper_default),
             );
-            let iterations = take_flag(&mut rest, "--iters")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --iters `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(25);
+            let iterations = take_number::<u64>(&mut rest, "--iters")?.unwrap_or(25);
             Command::Bench {
                 name,
                 defense,
@@ -500,16 +514,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "run" => {
             let file = take_flag(&mut rest, "--file")?
                 .ok_or_else(|| ParseError("run requires --file".into()))?;
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
-            let max_cycles = take_flag(&mut rest, "--max-cycles")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --max-cycles `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(100_000_000);
+            let defense = take_parsed(&mut rest, "--defense", parse_defense)?;
+            let max_cycles = take_number::<u64>(&mut rest, "--max-cycles")?.unwrap_or(100_000_000);
             let mode = match take_flag(&mut rest, "--mode")?.as_deref() {
                 None | Some("detailed") => RunMode::Detailed,
                 Some("functional") => RunMode::Functional,
@@ -520,21 +526,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     )));
                 }
             };
-            let checkpoints = take_flag(&mut rest, "--checkpoints")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --checkpoints `{s}`")))
-                })
-                .transpose()?;
+            let checkpoints = take_number::<usize>(&mut rest, "--checkpoints")?;
             if checkpoints == Some(0) {
                 return Err(ParseError("--checkpoints must be at least 1".into()));
             }
-            let window = take_flag(&mut rest, "--window")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --window `{s}`")))
-                })
-                .transpose()?;
+            let window = take_number::<u64>(&mut rest, "--window")?;
             if window == Some(0) {
                 return Err(ParseError("--window must be at least 1 instruction".into()));
             }
@@ -557,13 +553,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 .ok_or_else(|| ParseError("save requires --name".into()))?;
             let file = take_flag(&mut rest, "--file")?
                 .ok_or_else(|| ParseError("save requires --file".into()))?;
-            let iterations = take_flag(&mut rest, "--iters")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --iters `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(25);
+            let iterations = take_number::<u64>(&mut rest, "--iters")?.unwrap_or(25);
             Command::Save {
                 name,
                 file,
@@ -573,16 +563,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "trace" => {
             let kind = take_flag(&mut rest, "--kind")?
                 .ok_or_else(|| ParseError("trace requires --kind".into()))?;
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
-            let events = take_flag(&mut rest, "--events")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --events `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(120);
+            let defense = take_parsed(&mut rest, "--defense", parse_defense)?;
+            let events = take_number::<usize>(&mut rest, "--events")?.unwrap_or(120);
             let format = match take_flag(&mut rest, "--format")?.as_deref() {
                 None | Some("text") => TraceFormat::Text,
                 Some("perfetto") | Some("chrome") => TraceFormat::Perfetto,
@@ -602,39 +584,17 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "timeseries" => {
             let name = take_flag(&mut rest, "--name")?
                 .ok_or_else(|| ParseError("timeseries requires --name".into()))?;
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
+            let defense = take_parsed(&mut rest, "--defense", parse_defense)?;
             let machine = Box::new(
-                take_flag(&mut rest, "--machine")?
-                    .map(|s| parse_machine(&s))
-                    .transpose()?
+                take_parsed(&mut rest, "--machine", parse_machine)?
                     .unwrap_or_else(MachineConfig::paper_default),
             );
-            let iterations = take_flag(&mut rest, "--iters")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --iters `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(25);
-            let window = take_flag(&mut rest, "--window")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --window `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(10_000);
+            let iterations = take_number::<u64>(&mut rest, "--iters")?.unwrap_or(25);
+            let window = take_number::<u64>(&mut rest, "--window")?.unwrap_or(10_000);
             if window == 0 {
                 return Err(ParseError("--window must be at least 1 cycle".into()));
             }
-            let rows = take_flag(&mut rest, "--rows")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --rows `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(4096);
+            let rows = take_number::<usize>(&mut rest, "--rows")?.unwrap_or(4096);
             if rows == 0 {
                 return Err(ParseError("--rows must be at least 1".into()));
             }
@@ -677,13 +637,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 Some(first) if !first.starts_with("--") => rest.remove(0),
                 _ => return Err(ParseError("sweep requires a sweep name".into())),
             };
-            let jobs = take_flag(&mut rest, "--jobs")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --jobs `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(0);
+            let jobs = take_number::<usize>(&mut rest, "--jobs")?;
             let resume = take_switch(&mut rest, "--resume");
             let quiet = take_switch(&mut rest, "--quiet");
             let progress = take_switch(&mut rest, "--progress");
@@ -691,48 +645,43 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let root = take_flag(&mut rest, "--root")?;
             let store = take_switch(&mut rest, "--store");
             let store_root = take_flag(&mut rest, "--store-root")?;
-            let iters = take_flag(&mut rest, "--iters")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --iters `{s}`")))
-                })
-                .transpose()?;
+            let iters = take_number::<u64>(&mut rest, "--iters")?;
             if iters == Some(0) {
                 return Err(ParseError("--iters must be at least 1".into()));
             }
-            let warmup = take_flag(&mut rest, "--warmup")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --warmup `{s}`")))
-                })
-                .transpose()?;
-            let shards = take_flag(&mut rest, "--shards")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --shards `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(1);
-            if shards == 0 {
+            let warmup = take_number::<u64>(&mut rest, "--warmup")?;
+            let shards = take_number::<usize>(&mut rest, "--shards")?;
+            if shards == Some(0) {
                 return Err(ParseError("--shards must be at least 1".into()));
             }
             let owner = take_flag(&mut rest, "--owner")?;
-            let steal_after_ms = take_flag(&mut rest, "--steal-after-ms")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --steal-after-ms `{s}`")))
-                })
-                .transpose()?;
+            let steal_after_ms = take_number::<u64>(&mut rest, "--steal-after-ms")?;
             if steal_after_ms == Some(0) {
                 return Err(ParseError("--steal-after-ms must be at least 1".into()));
             }
             let attach = take_flag(&mut rest, "--attach")?;
-            if attach.is_some() && shards > 1 {
-                return Err(ParseError("--attach conflicts with --shards".into()));
+            if attach.is_some() {
+                // The daemon runs the sweep: only the scaling travels.
+                refuse_ignored(
+                    "sweep --attach",
+                    &[
+                        ("--jobs", jobs.is_some()),
+                        ("--resume", resume),
+                        ("--root", root.is_some()),
+                        ("--quiet", quiet),
+                        ("--progress", progress),
+                        ("--telemetry", telemetry),
+                        ("--store", store),
+                        ("--store-root", store_root.is_some()),
+                        ("--shards", shards.is_some()),
+                        ("--owner", owner.is_some()),
+                        ("--steal-after-ms", steal_after_ms.is_some()),
+                    ],
+                )?;
             }
             Command::Sweep {
                 name,
-                jobs,
+                jobs: jobs.unwrap_or(0),
                 resume,
                 root,
                 quiet,
@@ -742,7 +691,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 store_root,
                 iters,
                 warmup,
-                shards,
+                shards: shards.unwrap_or(1),
                 owner,
                 steal_after_ms,
                 attach,
@@ -754,60 +703,60 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 _ => None,
             };
             let attach = take_flag(&mut rest, "--attach")?;
-            if sweep.is_none() && attach.is_none() {
-                return Err(ParseError(
-                    "worker requires a sweep name (store mode) or --attach <host:port>".into(),
-                ));
+            match (&sweep, &attach) {
+                (None, None) => {
+                    return Err(ParseError(
+                        "worker requires a sweep name (store mode) or --attach <host:port>".into(),
+                    ))
+                }
+                (Some(name), Some(_)) => {
+                    return Err(ParseError(format!(
+                        "sweep name `{name}` does not apply to worker --attach"
+                    )))
+                }
+                _ => {}
             }
             let store_root = take_flag(&mut rest, "--store-root")?;
             let owner = take_flag(&mut rest, "--owner")?;
-            let jobs = take_flag(&mut rest, "--jobs")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --jobs `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(0);
-            let steal_after_ms = take_flag(&mut rest, "--steal-after-ms")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --steal-after-ms `{s}`")))
-                })
-                .transpose()?;
+            let jobs = take_number::<usize>(&mut rest, "--jobs")?;
+            let steal_after_ms = take_number::<u64>(&mut rest, "--steal-after-ms")?;
             if steal_after_ms == Some(0) {
                 return Err(ParseError("--steal-after-ms must be at least 1".into()));
             }
-            let poll_ms = take_flag(&mut rest, "--poll-ms")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --poll-ms `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(200);
+            let poll_ms = take_number::<u64>(&mut rest, "--poll-ms")?;
             let drain = take_switch(&mut rest, "--drain");
-            let iters = take_flag(&mut rest, "--iters")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --iters `{s}`")))
-                })
-                .transpose()?;
+            let iters = take_number::<u64>(&mut rest, "--iters")?;
             if iters == Some(0) {
                 return Err(ParseError("--iters must be at least 1".into()));
             }
-            let warmup = take_flag(&mut rest, "--warmup")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --warmup `{s}`")))
-                })
-                .transpose()?;
+            let warmup = take_number::<u64>(&mut rest, "--warmup")?;
+            // Each mode refuses the other's flags: the daemon names an
+            // `--attach` worker's jobs and scaling, one at a time.
+            if attach.is_some() {
+                refuse_ignored(
+                    "worker --attach",
+                    &[
+                        ("--store-root", store_root.is_some()),
+                        ("--jobs", jobs.is_some()),
+                        ("--steal-after-ms", steal_after_ms.is_some()),
+                        ("--iters", iters.is_some()),
+                        ("--warmup", warmup.is_some()),
+                    ],
+                )?;
+            } else {
+                refuse_ignored(
+                    "worker <sweep>",
+                    &[("--poll-ms", poll_ms.is_some()), ("--drain", drain)],
+                )?;
+            }
             Command::Worker {
                 sweep,
                 attach,
                 store_root,
                 owner,
-                jobs,
+                jobs: jobs.unwrap_or(0),
                 steal_after_ms,
-                poll_ms,
+                poll_ms: poll_ms.unwrap_or(200),
                 drain,
                 iters,
                 warmup,
@@ -834,13 +783,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "serve" => {
             let addr = take_flag(&mut rest, "--addr")?
                 .unwrap_or_else(|| condspec_serve::DEFAULT_ADDR.to_string());
-            let jobs = take_flag(&mut rest, "--jobs")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --jobs `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(0);
+            let jobs = take_number::<usize>(&mut rest, "--jobs")?.unwrap_or(0);
             let root = take_flag(&mut rest, "--root")?;
             let store_root = take_flag(&mut rest, "--store-root")?;
             let no_store = take_switch(&mut rest, "--no-store");
@@ -858,14 +801,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "perf" => {
             let quick = take_switch(&mut rest, "--quick");
             let machine = Box::new(
-                take_flag(&mut rest, "--machine")?
-                    .map(|s| parse_machine(&s))
-                    .transpose()?
+                take_parsed(&mut rest, "--machine", parse_machine)?
                     .unwrap_or_else(MachineConfig::paper_default),
             );
-            let only = take_flag(&mut rest, "--only")?
-                .map(|s| CellFilter::parse(&s).map_err(ParseError))
-                .transpose()?;
+            let only = take_parsed(&mut rest, "--only", |s| {
+                CellFilter::parse(s).map_err(ParseError)
+            })?;
             let out = take_flag(&mut rest, "--out")?;
             let compare = take_flag(&mut rest, "--compare")?;
             Command::Perf {
@@ -1367,6 +1308,60 @@ mod tests {
     }
 
     #[test]
+    fn attach_modes_refuse_the_flags_they_ignore() {
+        for (line, flag) in [
+            ("worker --attach h:1 --jobs 8", "--jobs"),
+            ("worker --attach h:1 --store-root /tmp/s", "--store-root"),
+            (
+                "worker --attach h:1 --steal-after-ms 50",
+                "--steal-after-ms",
+            ),
+            ("worker --attach h:1 --iters 2", "--iters"),
+            ("worker --attach h:1 --warmup 1", "--warmup"),
+            ("worker fig5 --attach h:1", "`fig5`"),
+            ("worker fig5 --poll-ms 50", "--poll-ms"),
+            ("worker fig5 --drain", "--drain"),
+            ("sweep fig5 --attach h:1 --jobs 2", "--jobs"),
+            ("sweep fig5 --attach h:1 --resume", "--resume"),
+            ("sweep fig5 --attach h:1 --root /tmp/r", "--root"),
+            ("sweep fig5 --attach h:1 --quiet", "--quiet"),
+            ("sweep fig5 --attach h:1 --progress", "--progress"),
+            ("sweep fig5 --attach h:1 --telemetry", "--telemetry"),
+            ("sweep fig5 --attach h:1 --store", "--store"),
+            (
+                "sweep fig5 --attach h:1 --store-root /tmp/s",
+                "--store-root",
+            ),
+            ("sweep fig5 --attach h:1 --shards 1", "--shards"),
+            ("sweep fig5 --attach h:1 --owner w", "--owner"),
+            (
+                "sweep fig5 --attach h:1 --steal-after-ms 50",
+                "--steal-after-ms",
+            ),
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert!(err.0.contains(flag), "{line}: {err}");
+        }
+        assert_eq!(
+            parse(&argv("worker --attach h:1 --jobs 8")).unwrap_err().0,
+            "--jobs does not apply to worker --attach"
+        );
+        assert_eq!(
+            parse(&argv("worker fig5 --drain")).unwrap_err().0,
+            "--drain does not apply to worker <sweep>"
+        );
+        assert_eq!(
+            parse(&argv("sweep table4 --attach h:1 --store"))
+                .unwrap_err()
+                .0,
+            "--store does not apply to sweep --attach"
+        );
+        // What each mode does use still parses.
+        assert!(parse(&argv("worker --attach h:1 --owner w --poll-ms 5 --drain")).is_ok());
+        assert!(parse(&argv("sweep fig5 --attach h:1 --iters 2 --warmup 1")).is_ok());
+    }
+
+    #[test]
     fn store_parses() {
         assert_eq!(
             parse(&argv("store stats")).unwrap(),
@@ -1515,9 +1510,29 @@ mod tests {
 
     #[test]
     fn rejects_unknown_values() {
-        assert!(parse(&argv("attack --scenario nope")).is_err());
-        assert!(parse(&argv("bench --name lbm --machine m1")).is_err());
-        assert!(parse(&argv("bench --name lbm --iters many")).is_err());
+        // A bad value's error names the flag or the kind of value.
+        for (line, message) in [
+            ("attack --scenario nope", "unknown scenario `nope`"),
+            ("attack --defense nope", "unknown defense `nope`"),
+            ("leaks --gadget v9", "unknown variant `v9`"),
+            ("bench --name lbm --machine m1", "unknown machine `m1`"),
+            ("bench --name lbm --iters many", "bad --iters `many`"),
+            (
+                "run --file p.bin --max-cycles 1e9",
+                "bad --max-cycles `1e9`",
+            ),
+            ("sweep fig5 --jobs -1", "bad --jobs `-1`"),
+            (
+                "worker fig5 --steal-after-ms soon",
+                "bad --steal-after-ms `soon`",
+            ),
+            (
+                "serve --jobs 18446744073709551616",
+                "bad --jobs `18446744073709551616`",
+            ),
+        ] {
+            assert_eq!(parse(&argv(line)).unwrap_err().0, message, "{line}");
+        }
         assert!(parse(&argv("frobnicate")).is_err());
         assert!(
             parse(&argv("attack --defense")).is_err(),

@@ -5,10 +5,8 @@
 mod args;
 
 use args::{parse, utf8_args, Command, RunMode, SeriesFormat, StoreAction, TraceFormat, USAGE};
-use condspec::{
-    leak_report_to_json, run_timeseries, DefenseConfig, ExitReason, SimConfig, Simulator,
-};
-use condspec_attacks::{leak_probe, run_variant, traced_variant_round, AttackScenario};
+use condspec::{run_timeseries, DefenseConfig, ExitReason, SimConfig, Simulator};
+use condspec_attacks::{run_variant, traced_variant_round, AttackScenario};
 use condspec_stats::TextTable;
 use condspec_store::ResultStore;
 use condspec_workloads::spec::{build_program, by_name, suite};
@@ -1201,10 +1199,11 @@ fn run_remote_worker(addr: &str, owner: &str, poll_ms: u64, drain: bool) -> Exit
 }
 
 /// `condspec leaks` — run the taint-oracle probes over the selected
-/// gadget × defense cells and print the leak matrix. The paper's security
-/// claim (Origin leaks through the cache on every gadget, the defenses on
-/// none) is checked whenever the full Table IV corpus runs; subsets print
-/// their cells without a verdict.
+/// gadget × defense cells on the engine pool and print the engine's leak
+/// matrix, as `condspec sweep leaks` does for the full corpus. Exits 1
+/// when a probe fails or a cell deviates from the paper's security
+/// claim (Origin leaks through the cache on every gadget, the defenses
+/// on none).
 fn run_leaks(
     gadget: Option<GadgetKind>,
     defense: Option<DefenseConfig>,
@@ -1218,79 +1217,29 @@ fn run_leaks(
         // return-stack gadget so the CI smoke exercises both predictor
         // paths without the full matrix.
         None if quick => vec![GadgetKind::V1, GadgetKind::Rsb],
-        None => vec![
-            GadgetKind::V1,
-            GadgetKind::V2,
-            GadgetKind::V4,
-            GadgetKind::Rsb,
-        ],
+        None => condspec_engine::sweep::TABLE4_VARIANTS.to_vec(),
     };
-    let ds = defenses(defense);
-    // The claim quantifies over defenses, so it is checkable per gadget
-    // row whenever every defense column is present.
-    let claim_checkable = defense.is_none();
-
-    let mut columns = vec!["gadget".to_string()];
-    columns.extend(ds.iter().map(|d| d.label().to_string()));
-    let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-    let mut matrix = TextTable::with_columns(&column_refs);
-    let mut blind = TextTable::with_columns(&column_refs);
-
-    let mut docs = Vec::new();
-    let mut violated = false;
-    for kind in &corpus {
-        let mut row = vec![format!("{kind:?}")];
-        let mut blind_row = vec![format!("{kind:?}")];
-        for d in &ds {
-            let outcome = leak_probe(*kind, *d);
-            let leaks = outcome.leaks;
-            let expected = *d == DefenseConfig::Origin;
-            violated |= expected != outcome.cache_leaked();
-            row.push(if outcome.cache_leaked() {
-                format!("LEAKS({})", leaks.cache_survived())
-            } else {
-                "clean".to_string()
-            });
-            blind_row.push(format!(
-                "tlb:{} tpbuf:{}",
-                leaks.tlb_fills_survived, leaks.tpbuf_inserts_survived
-            ));
-            docs.push(Json::object(vec![
-                ("variant", Json::from(kind.key())),
-                ("defense", Json::from(d.key())),
-                ("cache_leaked", Json::from(outcome.cache_leaked())),
-                ("leaks", leak_report_to_json(&leaks)),
-                ("leak_events", Json::from(outcome.events.len() as u64)),
-            ]));
-        }
-        matrix.row(row);
-        blind.row(blind_row);
-    }
-
-    println!("leak matrix — squash-surviving taint flows per defense (taint oracle):\n");
-    println!("{matrix}");
-    if claim_checkable {
-        println!(
-            "security claim (cache channels: Origin leaks on every gadget, every defense on none): {}",
-            if violated { "VIOLATED" } else { "REPRODUCED" }
-        );
-    } else if violated {
-        println!("warning: some cells deviate from the paper's security claim");
-    }
-    println!("\nblind spots — channels outside the defenses' filter (informational):\n");
-    println!("{blind}");
-    println!("TLB fills survive under every defense: address translation precedes");
-    println!("the filter veto, so the defenses filter the cache, not the TLB.");
-
+    let sweep = condspec_engine::sweep::leaks_of(&corpus, &defenses(defense));
+    let results =
+        match condspec_engine::run_in_memory(&sweep.jobs, condspec_engine::default_workers()) {
+            Ok(results) => results,
+            Err(e) => {
+                eprintln!("leaks: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+    println!("{}", sweep.render(&results));
+    let matrix = condspec_engine::leak_matrix(&sweep.jobs, &results);
     if let Some(path) = &out {
-        let doc = Json::object(vec![("cells", Json::Array(docs))]);
+        let doc = Json::object(vec![("cells", Json::Array(matrix.cells))]);
         if let Err(e) = std::fs::write(path, format!("{}\n", doc.render())) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         eprintln!("wrote {path}");
     }
-    if violated {
+    if matrix.deviates {
+        eprintln!("leaks: some cells deviate from the paper's security claim");
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

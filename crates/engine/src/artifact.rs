@@ -53,10 +53,11 @@ pub fn write_artifact(path: &Path, doc: &Json) -> io::Result<()> {
     renamed
 }
 
-/// Loads the artifact at `path` if it exists and parses; `None` means
+/// Loads the artifact at `path` if it exists, is at most
+/// [`condspec_store::MAX_FILE_BYTES`] long and parses; `None` means
 /// "not complete, run the job".
 pub fn load_artifact(path: &Path) -> Option<Json> {
-    let text = fs::read_to_string(path).ok()?;
+    let text = condspec_store::read_capped(path).ok()?;
     Json::parse(&text).ok()
 }
 

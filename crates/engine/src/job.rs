@@ -21,8 +21,9 @@ use condspec_stats::Json;
 use condspec_workloads::spec::{build_program, by_name};
 use condspec_workloads::GadgetKind;
 
-/// Default outer iterations per measured benchmark run (matches the
-/// Figure 5 harness).
+/// Default outer iterations per measured benchmark run (matches
+/// `condspec-bench`'s `DEFAULT_OUTER_ITERATIONS`, which the `cargo
+/// bench` studies use).
 pub const DEFAULT_ITERATIONS: u64 = 40;
 
 /// Default outer iterations of the warm-up run.

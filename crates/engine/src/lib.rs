@@ -51,7 +51,7 @@ pub use scheduler::{
     default_workers, run_jobs_claimed, run_jobs_stored, ClaimOptions, ClaimedJob, JobResult,
     JobTiming,
 };
-pub use sweep::{Sweep, SweepResults};
+pub use sweep::{leak_matrix, LeakMatrix, Sweep, SweepResults};
 pub use telemetry::SweepTelemetry;
 
 use condspec_stats::Json;
@@ -184,6 +184,30 @@ fn eta(done: usize, total: usize, started: Instant) -> String {
 /// job failed and the sweep continues.
 pub fn run_sweep(sweep: &Sweep, opts: &SweepOptions) -> io::Result<SweepOutcome> {
     run_sweep_observed(sweep, opts, |_| {})
+}
+
+/// Runs `jobs` on `workers` threads (0 means [`default_workers`]) with
+/// no result store and no artifact directory, and returns their
+/// artifacts keyed by job hash.
+///
+/// # Errors
+///
+/// Names the first failed job, in job order, with its panic message.
+pub fn run_in_memory(jobs: &[JobSpec], workers: usize) -> Result<SweepResults, String> {
+    let workers = if workers == 0 {
+        default_workers()
+    } else {
+        workers
+    };
+    let programs = std::sync::Arc::new(ProgramCache::new());
+    let outcomes = run_jobs_stored(jobs, workers, &programs, None, |_, _, _, _| {});
+    let mut results = SweepResults::new();
+    for (job, (outcome, _, _)) in jobs.iter().zip(outcomes) {
+        let doc =
+            outcome.map_err(|e| format!("job {} ({}) failed: {e}", job.hash_hex(), job.label()))?;
+        results.insert(job.hash_hex(), doc);
+    }
+    Ok(results)
 }
 
 /// [`run_sweep`] plus a progress observer: `observer` receives a

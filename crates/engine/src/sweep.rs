@@ -110,7 +110,7 @@ impl Sweep {
             "table6" => render_table6(results),
             "lru" => render_lru(results),
             "icache" => render_icache(results),
-            "leaks" => render_leaks(results),
+            "leaks" => leak_matrix(&self.jobs, results).text,
             _ => unreachable!("sweeps are only constructed by name"),
         };
         format!("\n{}\n\n{table}", self.title)
@@ -223,7 +223,9 @@ fn render_fig5(results: &SweepResults) -> String {
 // Table IV — security analysis
 // ---------------------------------------------------------------------
 
-const TABLE4_VARIANTS: [GadgetKind; 4] = [
+/// The Spectre variants of Table IV, in table order: the leak
+/// matrix's default corpus.
+pub const TABLE4_VARIANTS: [GadgetKind; 4] = [
     GadgetKind::V1,
     GadgetKind::V2,
     GadgetKind::V4,
@@ -606,88 +608,141 @@ fn render_icache(results: &SweepResults) -> String {
 /// under every defense, with the verdict coming from information flow
 /// inside the pipeline instead of an attacker's channel readout.
 pub fn leaks() -> Sweep {
-    let mut jobs = Vec::new();
-    for kind in TABLE4_VARIANTS {
-        for defense in DefenseConfig::ALL {
-            jobs.push(JobSpec::leak_probe(kind, defense));
-        }
-    }
+    leaks_of(&TABLE4_VARIANTS, &DefenseConfig::ALL)
+}
+
+/// The leak sweep restricted to `kinds` × `defenses`, row-major: the
+/// probes `condspec leaks` and `GET /api/leaks` run.
+pub fn leaks_of(kinds: &[GadgetKind], defenses: &[DefenseConfig]) -> Sweep {
     Sweep {
         name: "leaks",
         title: "Leak matrix — squash-surviving taint flows per defense (taint oracle)",
-        jobs,
+        jobs: kinds
+            .iter()
+            .flat_map(|&kind| defenses.iter().map(move |&d| JobSpec::leak_probe(kind, d)))
+            .collect(),
     }
 }
 
-fn leak_u64(results: &SweepResults, job: &JobSpec, field: &str) -> Option<u64> {
-    artifact(results, job)?.get("leaks")?.get(field)?.as_u64()
+/// A leak matrix: the one verdict on the taint probes behind every
+/// report of them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LeakMatrix {
+    /// The matrix and blind-spot tables, with the claim line when every
+    /// defense column is present.
+    pub text: String,
+    /// The security claim's verdict, present only when every defense
+    /// column is: `REPRODUCED`, `VIOLATED`, or `incomplete` when a cell
+    /// has no artifact.
+    pub claim: Option<&'static str>,
+    /// True when a cell deviates from the claim (Origin leaks through
+    /// the cache, no defense does), whether or not the claim is drawn.
+    pub deviates: bool,
+    /// One `{variant, defense, cache_leaked, leaks, leak_events}`
+    /// document per cell with an artifact, row-major.
+    pub cells: Vec<Json>,
 }
 
-fn render_leaks(results: &SweepResults) -> String {
-    let mut table = TextTable::with_columns(&[
-        "Gadget",
-        "Origin",
-        "Baseline",
-        "Cache-hit",
-        "Cache-hit+TPBuf",
-    ]);
-    let mut claim_holds = Some(true);
-    for kind in TABLE4_VARIANTS {
-        let mut cells = vec![kind.key().to_string()];
-        for defense in DefenseConfig::ALL {
-            let job = JobSpec::leak_probe(kind, defense);
-            let survived = leak_u64(results, &job, "cache_fills_survived")
-                .zip(leak_u64(results, &job, "cache_lru_survived"))
+/// The column label of a defense in the security tables.
+fn column_label(defense: DefenseConfig) -> &'static str {
+    match defense {
+        DefenseConfig::Origin => "Origin",
+        DefenseConfig::Baseline => "Baseline",
+        DefenseConfig::CacheHit => "Cache-hit",
+        DefenseConfig::CacheHitTpbuf => "Cache-hit+TPBuf",
+    }
+}
+
+/// The leak matrix of the leak-probe jobs in `jobs`, whatever their
+/// order: rows follow [`GadgetKind::ALL`] and columns
+/// [`DefenseConfig::ALL`], each restricted to what the jobs probe.
+pub fn leak_matrix(jobs: &[JobSpec], results: &SweepResults) -> LeakMatrix {
+    let probes = || {
+        jobs.iter().filter_map(|job| match job.workload {
+            Workload::LeakProbe { kind } => Some((kind, job.defense)),
+            _ => None,
+        })
+    };
+    let kinds: Vec<GadgetKind> = GadgetKind::ALL
+        .into_iter()
+        .filter(|&k| probes().any(|(kind, _)| kind == k))
+        .collect();
+    let defenses: Vec<DefenseConfig> = DefenseConfig::ALL
+        .into_iter()
+        .filter(|&d| probes().any(|(_, defense)| defense == d))
+        .collect();
+
+    let mut columns = vec!["Gadget"];
+    columns.extend(defenses.iter().map(|&d| column_label(d)));
+    let mut table = TextTable::with_columns(&columns);
+    let mut blind = TextTable::with_columns(&columns);
+    let (mut complete, mut deviates) = (true, false);
+    let mut cells = Vec::new();
+    for &kind in &kinds {
+        let mut row = vec![kind.key().to_string()];
+        let mut blind_row = row.clone();
+        for &defense in &defenses {
+            let doc = artifact(results, &JobSpec::leak_probe(kind, defense));
+            let leaks = doc.and_then(|d| d.get("leaks"));
+            let count = |field: &str| leaks?.get(field)?.as_u64();
+            let survived = count("cache_fills_survived")
+                .zip(count("cache_lru_survived"))
                 .map(|(f, l)| f + l);
-            cells.push(match survived {
+            row.push(match survived {
                 Some(0) => "clean".to_string(),
-                Some(n) => "LEAKS".to_string() + &format!("({n})"),
+                Some(n) => format!("LEAKS({n})"),
                 None => "-".to_string(),
             });
-            let expected_leak = defense == DefenseConfig::Origin;
-            claim_holds = match (claim_holds, survived) {
-                (Some(ok), Some(n)) => Some(ok && ((n > 0) == expected_leak)),
-                _ => None,
-            };
+            blind_row.push(
+                match (count("tlb_fills_survived"), count("tpbuf_inserts_survived")) {
+                    (Some(t), Some(p)) => format!("tlb:{t} tpbuf:{p}"),
+                    _ => "-".to_string(),
+                },
+            );
+            match survived {
+                Some(n) => deviates |= (n > 0) != (defense == DefenseConfig::Origin),
+                None => complete = false,
+            }
+            if let (Some(doc), Some(leaks)) = (doc, leaks) {
+                let field = |k: &str| doc.get(k).cloned().unwrap_or(Json::Null);
+                cells.push(Json::object(vec![
+                    ("variant", Json::from(kind.key())),
+                    ("defense", Json::from(defense.key())),
+                    ("cache_leaked", field("cache_leaked")),
+                    ("leaks", leaks.clone()),
+                    ("leak_events", field("leak_events")),
+                ]));
+            }
         }
-        table.row(cells);
+        table.row(row);
+        blind.row(blind_row);
     }
 
-    let mut blind = TextTable::with_columns(&[
-        "Gadget",
-        "Origin",
-        "Baseline",
-        "Cache-hit",
-        "Cache-hit+TPBuf",
-    ]);
-    for kind in TABLE4_VARIANTS {
-        let mut cells = vec![kind.key().to_string()];
-        for defense in DefenseConfig::ALL {
-            let job = JobSpec::leak_probe(kind, defense);
-            let tlb = leak_u64(results, &job, "tlb_fills_survived");
-            let tpbuf = leak_u64(results, &job, "tpbuf_inserts_survived");
-            cells.push(match (tlb, tpbuf) {
-                (Some(t), Some(p)) => format!("tlb:{t} tpbuf:{p}"),
-                _ => "-".to_string(),
-            });
-        }
-        blind.row(cells);
+    let claim =
+        (defenses.len() == DefenseConfig::ALL.len()).then_some(match (complete, deviates) {
+            (false, _) => "incomplete",
+            (true, true) => "VIOLATED",
+            (true, false) => "REPRODUCED",
+        });
+    let claim_line = claim.map_or_else(String::new, |verdict| {
+        format!(
+            "\nsecurity claim (cache channels: Origin leaks on every gadget, \
+             every defense on none): {verdict}\n"
+        )
+    });
+    LeakMatrix {
+        text: format!(
+            "{table}{claim_line}\n\
+             Blind spots — squash-surviving non-cache flows the paper's threat \
+             model does not cover (TLB fills, TPBuf training):\n\n{blind}\n\
+             A tlb count > 0 under a defense means the blocked load had already \
+             translated its secret-dependent address; the defenses filter the \
+             cache, not the TLB.\n"
+        ),
+        claim,
+        deviates,
+        cells,
     }
-
-    format!(
-        "{table}\nsecurity claim (cache channels: Origin leaks on every gadget, \
-         every defense on none): {}\n\n\
-         Blind spots — squash-surviving non-cache flows the paper's threat \
-         model does not cover (TLB fills, TPBuf training):\n\n{blind}\n\
-         A tlb count > 0 under a defense means the blocked load had already \
-         translated its secret-dependent address; the defenses filter the \
-         cache, not the TLB.\n",
-        match claim_holds {
-            Some(true) => "REPRODUCED",
-            Some(false) => "VIOLATED",
-            None => "incomplete",
-        }
-    )
 }
 
 #[cfg(test)]
@@ -761,6 +816,86 @@ mod tests {
             let rendered = sweep.render(&SweepResults::new());
             assert!(rendered.contains('-'), "{name} renders placeholders");
         }
+    }
+
+    /// The 16 leak-probe artifacts of the full corpus.
+    fn leak_artifacts() -> SweepResults {
+        crate::run_in_memory(&leaks().jobs, 2).expect("every probe runs")
+    }
+
+    /// The lines of `text` that are rows for `kind` (one per table).
+    fn rows_of(text: &str, kind: GadgetKind) -> Vec<&str> {
+        text.lines()
+            .filter(|line| line.split_whitespace().next() == Some(kind.key()))
+            .collect()
+    }
+
+    #[test]
+    fn leak_matrix_of_a_subset_draws_its_rows_and_columns() {
+        let results = leak_artifacts();
+        let quick = leaks_of(&[GadgetKind::V1, GadgetKind::Rsb], &DefenseConfig::ALL);
+        let matrix = leak_matrix(&quick.jobs, &results);
+        assert_eq!(matrix.claim, Some("REPRODUCED"));
+        assert!(!matrix.deviates);
+        assert_eq!(matrix.cells.len(), 8);
+        assert!(matrix.text.contains("every defense on none): REPRODUCED\n"));
+        // A row in the matrix and one in the blind-spot table.
+        for (kind, rows) in [
+            (GadgetKind::V1, 2),
+            (GadgetKind::V2, 0),
+            (GadgetKind::V4, 0),
+            (GadgetKind::Rsb, 2),
+        ] {
+            assert_eq!(rows_of(&matrix.text, kind).len(), rows, "{kind:?}");
+        }
+
+        // One defense column: no claim line, no verdict, cells intact.
+        let origin = leaks_of(&TABLE4_VARIANTS, &[DefenseConfig::Origin]);
+        let matrix = leak_matrix(&origin.jobs, &results);
+        assert_eq!(matrix.claim, None);
+        assert!(!matrix.deviates, "Origin leaks on every gadget");
+        assert!(!matrix.text.contains("security claim"), "{}", matrix.text);
+        assert_eq!(matrix.cells.len(), 4);
+        assert_eq!(
+            rows_of(&matrix.text, GadgetKind::V4)[0]
+                .split_whitespace()
+                .count(),
+            2
+        );
+    }
+
+    #[test]
+    fn leak_matrix_ignores_job_order_and_flags_a_missing_cell() {
+        let mut results = leak_artifacts();
+        let full = leaks();
+        let expected = leak_matrix(&full.jobs, &results);
+        assert_eq!(expected.claim, Some("REPRODUCED"));
+        assert_eq!(
+            full.render(&results),
+            format!("\n{}\n\n{}", full.title, expected.text)
+        );
+
+        let mut shuffled = full.clone();
+        let mut rng = condspec_stats::SplitMix64::new(27);
+        for i in (1..shuffled.jobs.len()).rev() {
+            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+            shuffled.jobs.swap(i, j);
+        }
+        assert_ne!(shuffled.jobs, full.jobs);
+        assert_eq!(leak_matrix(&shuffled.jobs, &results), expected);
+
+        results.remove(&JobSpec::leak_probe(GadgetKind::V2, DefenseConfig::CacheHit).hash_hex());
+        let matrix = leak_matrix(&full.jobs, &results);
+        assert_eq!(matrix.claim, Some("incomplete"));
+        assert!(matrix.text.contains("every defense on none): incomplete\n"));
+        assert_eq!(matrix.cells.len(), 15);
+        assert_eq!(
+            rows_of(&matrix.text, GadgetKind::V2)[0]
+                .split_whitespace()
+                .nth(3),
+            Some("-"),
+            "the missing cell is drawn as `-`"
+        );
     }
 
     #[test]

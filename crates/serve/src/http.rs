@@ -10,13 +10,14 @@
 //! size their buffers from bytes actually received, never from what the
 //! peer claims: every request, status and header line is read through a
 //! [`MAX_HEADER`]-byte window, and response bodies and chunks through
-//! [`Read::take`] with a length check.
+//! [`Read::take`] with a length check, up to [`MAX_BODY`] in all.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-/// Maximum accepted request body (sweep submissions are tiny JSON
-/// documents; anything larger is a client error).
+/// Maximum accepted body: of a request the server reads, and of a
+/// response [`client_request`] reads. Submissions, work results and
+/// rendered reports are a few KB; anything larger is an error.
 pub const MAX_BODY: usize = 1 << 20;
 
 /// Maximum accepted header block size, and so of any one header line.
@@ -146,6 +147,10 @@ fn percent_decode(text: &str) -> String {
 
 fn bad(message: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+fn too_large() -> io::Error {
+    bad("response body exceeds MAX_BODY")
 }
 
 /// Reads one line (terminator included; empty at EOF) of at most
@@ -316,19 +321,27 @@ pub fn client_request(
             if size == 0 {
                 break;
             }
+            if size > MAX_BODY - out.len() {
+                return Err(too_large());
+            }
             // The chunk data plus its trailing CRLF, which is dropped.
-            let framed = size.checked_add(2).ok_or_else(|| bad("bad chunk size"))?;
-            read_exactly(&mut reader, framed, &mut out)?;
+            read_exactly(&mut reader, size + 2, &mut out)?;
             out.truncate(out.len() - 2);
         }
         out
     } else if let Some(len) = content_length {
+        if len > MAX_BODY {
+            return Err(too_large());
+        }
         let mut out = Vec::new();
         read_exactly(&mut reader, len, &mut out)?;
         out
     } else {
         let mut out = Vec::new();
-        reader.read_to_end(&mut out)?;
+        reader.take(MAX_BODY as u64 + 1).read_to_end(&mut out)?;
+        if out.len() > MAX_BODY {
+            return Err(too_large());
+        }
         out
     };
     let body = String::from_utf8(body).map_err(|_| bad("response body is not UTF-8"))?;
@@ -443,6 +456,27 @@ mod tests {
                 .to_vec(),
             false,
         ));
+    }
+
+    #[test]
+    fn client_rejects_a_body_over_the_cap() {
+        // Chunks that are each in bounds but together exceed MAX_BODY.
+        let chunk = "a".repeat(MAX_BODY / 2 + 1);
+        let mut response = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+        for _ in 0..2 {
+            response.extend_from_slice(format!("{:x}\r\n{chunk}\r\n", chunk.len()).as_bytes());
+        }
+        response.extend_from_slice(b"0\r\n\r\n");
+        assert_invalid(client_sees(response, true));
+        // No length and no chunking: the body runs to EOF, past the cap.
+        let mut response = b"HTTP/1.1 200 OK\r\n\r\n".to_vec();
+        response.resize(response.len() + MAX_BODY + 1, b'a');
+        assert_invalid(client_sees(response, false));
+        // Exactly MAX_BODY bytes to EOF is still a body.
+        let mut response = b"HTTP/1.1 200 OK\r\n\r\n".to_vec();
+        response.resize(response.len() + MAX_BODY, b'a');
+        let (status, body) = client_sees(response, false).expect("body at the cap");
+        assert_eq!((status, body.len()), (200, MAX_BODY));
     }
 
     #[test]

@@ -41,11 +41,12 @@ pub mod state;
 
 pub use state::{ServerState, Submission, SubmissionStatus, SubmitMode, WorkerEntry};
 
-use condspec::{leak_report_to_json, DefenseConfig};
-use condspec_attacks::{leak_probe, traced_variant_round, AttackScenario};
+use condspec::DefenseConfig;
+use condspec_attacks::{traced_variant_round, AttackScenario};
+use condspec_engine::sweep::{leaks_of, TABLE4_VARIANTS};
 use condspec_engine::{
-    load_sweep_report_with_store, JobSpec, MachinePreset, ProgramCache, ResultStore, Sweep,
-    Workload,
+    leak_matrix, load_sweep_report_with_store, run_in_memory, JobSpec, MachinePreset, ProgramCache,
+    ResultStore, Sweep, Workload,
 };
 use condspec_stats::{Json, MetricsRegistry};
 use condspec_workloads::GadgetKind;
@@ -161,7 +162,7 @@ fn handle_connection(
             &Json::object(vec![("ok", Json::from(true))]).render(),
         ),
         ("GET", ["healthz"]) => healthz(state, stream),
-        ("GET", ["api", "leaks"]) => serve_leaks(stream, &request),
+        ("GET", ["api", "leaks"]) => serve_leaks(state, stream, &request),
         ("GET", ["api", "sweeps"]) => {
             let list = state
                 .submissions()
@@ -587,11 +588,12 @@ fn healthz(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
 }
 
 /// `GET /api/leaks` — the taint-oracle leak matrix over the Table IV
-/// gadget corpus and all four defenses, one probe per cell
-/// (`?variant=`/`?defense=` restrict either axis). The claim verdict
-/// quantifies over defenses, so it is present only when every defense
-/// column ran.
-fn serve_leaks(stream: &mut TcpStream, request: &Request) -> io::Result<()> {
+/// gadget corpus and all four defenses (`?variant=`/`?defense=` restrict
+/// either axis). The probes run on the engine pool with the daemon's
+/// `--jobs` workers; the cells and the claim verdict come from the
+/// engine's [`leak_matrix`]. The claim quantifies over defenses, so it
+/// is present only when every defense column ran.
+fn serve_leaks(state: &ServerState, stream: &mut TcpStream, request: &Request) -> io::Result<()> {
     let corpus: Vec<GadgetKind> = match request.query("variant") {
         Some(key) => match GadgetKind::from_key(key) {
             Some(kind) => vec![kind],
@@ -603,12 +605,7 @@ fn serve_leaks(stream: &mut TcpStream, request: &Request) -> io::Result<()> {
                 )
             }
         },
-        None => vec![
-            GadgetKind::V1,
-            GadgetKind::V2,
-            GadgetKind::V4,
-            GadgetKind::Rsb,
-        ],
+        None => TABLE4_VARIANTS.to_vec(),
     };
     let defenses: Vec<DefenseConfig> = match request.query("defense") {
         Some(key) => match DefenseConfig::from_key(key) {
@@ -623,29 +620,15 @@ fn serve_leaks(stream: &mut TcpStream, request: &Request) -> io::Result<()> {
         },
         None => DefenseConfig::ALL.to_vec(),
     };
-    let claim_checkable = defenses.len() == DefenseConfig::ALL.len();
-
-    let mut cells = Vec::new();
-    let mut violated = false;
-    for kind in &corpus {
-        for defense in &defenses {
-            let outcome = leak_probe(*kind, *defense);
-            violated |= (*defense == DefenseConfig::Origin) != outcome.cache_leaked();
-            cells.push(Json::object(vec![
-                ("variant", Json::from(kind.key())),
-                ("defense", Json::from(defense.key())),
-                ("cache_leaked", Json::from(outcome.cache_leaked())),
-                ("leaks", leak_report_to_json(&outcome.leaks)),
-                ("leak_events", Json::from(outcome.events.len() as u64)),
-            ]));
-        }
-    }
-    let mut fields = vec![("cells", Json::Array(cells))];
-    if claim_checkable {
-        fields.push((
-            "claim",
-            Json::from(if violated { "VIOLATED" } else { "REPRODUCED" }),
-        ));
+    let sweep = leaks_of(&corpus, &defenses);
+    let results = match run_in_memory(&sweep.jobs, state.workers) {
+        Ok(results) => results,
+        Err(message) => return respond_json(stream, 500, &error_json(&message)),
+    };
+    let matrix = leak_matrix(&sweep.jobs, &results);
+    let mut fields = vec![("cells", Json::Array(matrix.cells))];
+    if let Some(claim) = matrix.claim {
+        fields.push(("claim", Json::from(claim)));
     }
     respond_json(stream, 200, &format!("{}\n", Json::object(fields).render()))
 }

@@ -581,6 +581,18 @@ fn daemon_round_trip_with_warm_store_second_submission() {
     // verdict only when every defense column runs.
     let (status, body) = get(addr, "/api/leaks?variant=v1&defense=origin");
     assert_eq!(status, 200, "{body}");
+    // The body is pinned byte for byte: cell fields, their order and
+    // the closing newline.
+    assert_eq!(
+        body,
+        concat!(
+            r#"{"cells":[{"variant":"v1","defense":"origin","cache_leaked":true,"#,
+            r#""leaks":{"cache_fills":1,"cache_fills_survived":1,"cache_lru":0,"#,
+            r#""cache_lru_survived":0,"tlb_fills":1,"tlb_fills_survived":1,"#,
+            r#""tpbuf_inserts":0,"tpbuf_inserts_survived":0},"leak_events":2}]}"#,
+            "\n"
+        )
+    );
     let leaks = Json::parse(&body).expect("leaks JSON");
     let cells = leaks.get("cells").and_then(Json::as_array).expect("cells");
     assert_eq!(cells.len(), 1);

@@ -43,7 +43,7 @@
 //! leaves a lease over a present object, which every other worker
 //! resolves as a store hit and which `gc`/steal eventually clears.
 
-use crate::{tmp_path, ResultStore};
+use crate::{read_capped, tmp_path, ResultStore};
 use condspec_stats::Json;
 use std::fs;
 use std::io;
@@ -123,7 +123,7 @@ fn parse_lease(text: &str) -> Option<(String, u64)> {
 }
 
 fn read_lease(path: &Path) -> Option<(String, u64)> {
-    parse_lease(&fs::read_to_string(path).ok()?)
+    parse_lease(&read_capped(path).ok()?)
 }
 
 /// Age of the file at `path` by mtime, saturating to zero when the

@@ -53,7 +53,7 @@ pub use claims::{Claim, ClaimStatus, LeaseInfo, DEFAULT_STEAL_TIMEOUT, LEASE_SCH
 
 use condspec_stats::{fnv1a64, hex16, Json, MetricsRegistry};
 use std::fs;
-use std::io;
+use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -70,6 +70,36 @@ pub const STORE_ROOT_ENV: &str = "CONDSPEC_STORE_ROOT";
 /// [`STORE_ROOT_ENV`] is unset. Kept under `target/` so a checkout is
 /// self-contained and `cargo clean` empties the cache.
 pub const DEFAULT_STORE_ROOT: &str = "target/condspec-store";
+
+/// The longest file the store, its leases and the engine's run
+/// directories read back. It is far above anything they write (a store
+/// envelope is under 1 KB, the largest manifest tens of KB), so only a
+/// damaged or hostile file reaches it.
+pub const MAX_FILE_BYTES: u64 = 16 << 20;
+
+/// Reads the file at `path` as UTF-8, refusing one longer than
+/// [`MAX_FILE_BYTES`] before reading it. The length comes from the open
+/// file's metadata, so a read makes the same system calls as
+/// [`fs::read_to_string`].
+///
+/// # Errors
+///
+/// Any I/O error opening or reading the file (`NotFound` when it is
+/// missing), and `InvalidData` when it is oversized or not UTF-8.
+pub fn read_capped(path: &Path) -> io::Result<String> {
+    let file = fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    if len > MAX_FILE_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{len} bytes exceeds the {MAX_FILE_BYTES}-byte cap"),
+        ));
+    }
+    let mut text = String::with_capacity(len as usize);
+    // The cap also bounds a file that grows after the length check.
+    file.take(MAX_FILE_BYTES).read_to_string(&mut text)?;
+    Ok(text)
+}
 
 /// A persistent content-addressed result store rooted at one directory.
 #[derive(Debug)]
@@ -249,7 +279,7 @@ impl ResultStore {
     }
 
     fn load_envelope(&self, key: &str) -> Result<Envelope, LoadMiss> {
-        let text = match fs::read_to_string(self.object_path(key)) {
+        let text = match read_capped(&self.object_path(key)) {
             Ok(t) => t,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(LoadMiss::Absent),
             Err(e) => return Err(LoadMiss::Damaged(e.to_string())),
@@ -435,7 +465,7 @@ impl ResultStore {
                 .and_then(|s| s.to_str())
                 .unwrap_or("")
                 .to_string();
-            let outcome = fs::read_to_string(&path)
+            let outcome = read_capped(&path)
                 .map_err(|e| e.to_string())
                 .and_then(|text| Envelope::parse(&text))
                 .and_then(|envelope| {
@@ -498,7 +528,7 @@ impl ResultStore {
                 .and_then(|s| s.to_str())
                 .unwrap_or("")
                 .to_string();
-            let keepable = fs::read_to_string(&path)
+            let keepable = read_capped(&path)
                 .map_err(|e| e.to_string())
                 .and_then(|text| Envelope::parse(&text))
                 .map(|envelope| envelope.key == stem && envelope.fingerprint == keep)

@@ -5,7 +5,7 @@
 
 use condspec_stats::json::MAX_DEPTH;
 use condspec_stats::{Json, SplitMix64};
-use condspec_store::{ClaimStatus, ResultStore};
+use condspec_store::{ClaimStatus, ResultStore, MAX_FILE_BYTES};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -236,6 +236,9 @@ fn verify_flags_a_bit_flipped_entry() {
 /// a flipped bit never panics. A flip outside the checksummed payload
 /// (a label, say) can leave an envelope valid, so a flipped object
 /// reads as a miss or as the original artifact, never as a damaged one.
+/// A file past [`MAX_FILE_BYTES`] is damaged without being read: a
+/// corrupt miss that `verify` reports and `gc` removes, or an
+/// unreadable lease.
 #[test]
 fn hostile_files_read_as_misses_and_never_panic() {
     let root = scratch("hostile");
@@ -291,6 +294,33 @@ fn hostile_files_read_as_misses_and_never_panic() {
                         assert_eq!(leases[0].owner, "unknown");
                     }
                 }
+            }
+        }
+
+        // A sparse file one byte past the read cap (nothing large is
+        // written) takes the damaged-file path without being read.
+        fs::write(path, &original).expect("restore file");
+        fs::OpenOptions::new()
+            .write(true)
+            .open(path)
+            .and_then(|f| f.set_len(MAX_FILE_BYTES + 1))
+            .expect("extend sparsely");
+        match *reader {
+            "object" => {
+                let corrupt = store.corrupt();
+                assert_eq!(store.load(KEY), None, "an oversized object is a miss");
+                assert_eq!(store.corrupt(), corrupt + 1, "counted as corrupt");
+                let report = store.verify().expect("verify");
+                assert_eq!(report.bad.len(), 1, "verify reports it");
+                assert!(report.bad[0].1.contains("cap"), "{:?}", report.bad);
+                let gc = store.gc(42).expect("gc");
+                assert_eq!(gc.removed, 1, "gc removes it");
+                assert!(!path.exists());
+            }
+            _ => {
+                let renewed = store.heartbeat(KEY, "shard-a").expect("heartbeat I/O");
+                assert!(!renewed, "an oversized lease is unreadable");
+                assert_eq!(store.leases().expect("list leases")[0].owner, "unknown");
             }
         }
     }
