@@ -287,37 +287,37 @@ echo "==> observation digests (timeseries, trace, sampled-run, leaks and securit
     --out target/perf-smoke/timeseries.csv
 (cd target/perf-smoke && sha256sum -c ../../ci/observation-digests.sha256)
 
-echo "==> distributed sweep smoke (2 workers race one store root, zero duplicates)"
-# Two `condspec worker` processes attach to one fresh store root and
+echo "==> distributed sweep smoke (2 shards race one store root, zero duplicates)"
+# Two `condspec sweep --owner` shards share one fresh store root and
 # drain the scaled fig5 sweep through the claims/ lease protocol: every
 # job is simulated by exactly one shard (the duplicate-insert counter
-# stays 0 in both logs and the insert counts sum to the job count), and
-# a coordinator collect pass afterwards sees 110/110 store hits. The
+# stays 0 in both stderr logs and the insert counts sum to the job
+# count), and a collect pass afterwards sees 110/110 store hits. The
 # merged artifacts must be byte-identical to a single-process run.
 dist_store="target/perf-smoke/dist-store"
 dist_runs="target/perf-smoke/dist-runs"
 runs_single="target/perf-smoke/runs-single"
-rm -rf "$dist_store" "$dist_runs" "$runs_single"
+rm -rf "$dist_store" "$dist_runs" "$runs_single" "$dist_runs"-shard-*
 wa_out="target/perf-smoke/dist-worker-a.out"
 wb_out="target/perf-smoke/dist-worker-b.out"
-./target/release/condspec worker fig5 --iters 2 --warmup 1 \
-    --store-root "$dist_store" --owner shard-a \
+./target/release/condspec sweep fig5 --iters 2 --warmup 1 \
+    --store-root "$dist_store" --owner shard-a --root "$dist_runs-shard-a" \
     > "$wa_out" 2> "$wa_out.log" &
-worker_a=$!
-./target/release/condspec worker fig5 --iters 2 --warmup 1 \
-    --store-root "$dist_store" --owner shard-b \
+shard_a=$!
+./target/release/condspec sweep fig5 --iters 2 --warmup 1 \
+    --store-root "$dist_store" --owner shard-b --root "$dist_runs-shard-b" \
     > "$wb_out" 2> "$wb_out.log" &
-worker_b=$!
-wait "$worker_a" || { echo "worker shard-a failed:" >&2; cat "$wa_out.log" >&2; exit 1; }
-wait "$worker_b" || { echo "worker shard-b failed:" >&2; cat "$wb_out.log" >&2; exit 1; }
-for out in "$wa_out" "$wb_out"; do
-    grep -q "0 duplicate simulations" "$out" || {
-        echo "a shard simulated a job twice; $out says:" >&2
-        grep "claims:" "$out" >&2 || echo "(no claims line)" >&2
+shard_b=$!
+wait "$shard_a" || { echo "shard-a failed:" >&2; tail -n 20 "$wa_out.log" >&2; exit 1; }
+wait "$shard_b" || { echo "shard-b failed:" >&2; tail -n 20 "$wb_out.log" >&2; exit 1; }
+for log in "$wa_out.log" "$wb_out.log"; do
+    grep -q "0 duplicate simulations" "$log" || {
+        echo "a shard simulated a job twice; $log says:" >&2
+        grep "claims:" "$log" >&2 || echo "(no claims line)" >&2
         exit 1
     }
 done
-python3 - "$wa_out" "$wb_out" <<'EOF'
+python3 - "$wa_out.log" "$wb_out.log" <<'EOF'
 import re, sys
 
 inserts = []
@@ -371,19 +371,20 @@ grep -q '"owner":"shard-b"' target/perf-smoke/dist-manifest.json || {
     echo "manifest records no shard-b provenance" >&2
     exit 1
 }
-rm -rf "$dist_runs"
+rm -rf "$dist_runs" "$dist_runs"-shard-*
 
-echo "==> mixed-fleet smoke (serve + --attach sweep/worker + store-root worker, one lease protocol)"
+echo "==> mixed-fleet smoke (serve + --attach sweep/worker + store-root shard, one lease protocol)"
 # The daemon takes each remote job's lease in its own store root under
 # the pulling worker's owner id, so an `--attach` worker and a `condspec
-# worker --store-root` pool on that root drain one distributed
-# submission together: neither simulates a job the other holds (the
-# HTTP worker's completions plus the pool's inserts sum to 110, with 0
-# duplicate simulations), and the daemon's merged artifacts are
-# sha256-identical to the single-process run.
+# sweep --owner` shard on that root drain one distributed submission
+# together: neither simulates a job the other holds (the HTTP worker's
+# completions plus the shard's inserts sum to 110, with 0 duplicate
+# simulations), and the daemon's merged artifacts are sha256-identical
+# to the single-process run.
 mixed_store="target/perf-smoke/mixed-store"
 mixed_runs="target/perf-smoke/mixed-runs"
-rm -rf "$mixed_store" "$mixed_runs"
+mixed_shard_runs="target/perf-smoke/mixed-shard-runs"
+rm -rf "$mixed_store" "$mixed_runs" "$mixed_shard_runs"
 mixed_serve="target/perf-smoke/mixed-serve.log"
 mixed_submit="target/perf-smoke/mixed-sweep-attach.log"
 http_out="target/perf-smoke/mixed-worker-attach.out"
@@ -424,18 +425,18 @@ grep -q "as distributed submission" "$mixed_submit" || mixed_fail "sweep --attac
 ./target/release/condspec worker --attach "$mixed_addr" --drain --owner http-w \
     > "$http_out" 2> "$http_out.log" &
 http_pid=$!
-./target/release/condspec worker fig5 --iters 2 --warmup 1 \
-    --store-root "$mixed_store" --owner store-w > "$fs_out" 2> "$fs_out.log" &
+./target/release/condspec sweep fig5 --iters 2 --warmup 1 --store-root "$mixed_store" \
+    --owner store-w --root "$mixed_shard_runs" > "$fs_out" 2> "$fs_out.log" &
 fs_pid=$!
 mixed_pids="$mixed_pids $http_pid $fs_pid"
 wait "$http_pid" || mixed_fail "worker --attach failed"
-wait "$fs_pid" || mixed_fail "worker --store-root failed"
+wait "$fs_pid" || mixed_fail "sweep --owner store-w failed"
 wait "$submit_pid" || mixed_fail "sweep --attach failed"
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
-grep -q "0 duplicate simulations" "$fs_out" \
-    || mixed_fail "the store-root worker counted a duplicate simulation"
-python3 - "$http_out" "$fs_out" "$runs_single" "$mixed_runs" <<'EOF'
+grep -q "0 duplicate simulations" "$fs_out.log" \
+    || mixed_fail "the store-root shard counted a duplicate simulation"
+python3 - "$http_out" "$fs_out.log" "$runs_single" "$mixed_runs" <<'EOF'
 import hashlib, pathlib, re, sys
 
 http_out, fs_out, single_root, mixed_root = sys.argv[1:]
@@ -446,7 +447,7 @@ m = re.search(r"result-store: \d+ hits, \d+ misses, (\d+) inserts", open(fs_out)
 assert m, f"{fs_out} has no result-store line"
 inserts = int(m.group(1))
 assert completed + inserts == 110, (
-    f"the --attach worker completed {completed} and the --store-root worker "
+    f"the --attach worker completed {completed} and the store-root shard "
     f"inserted {inserts}: expected a sum of 110"
 )
 
@@ -466,7 +467,7 @@ print(f"mixed-fleet smoke ok: {completed} via --attach + {inserts} via --store-r
       f"artifacts byte-identical (sha256) for {mixed_id}")
 EOF
 cp "$mixed_runs"/fig5-*/manifest.json target/perf-smoke/mixed-manifest.json
-rm -rf "$runs_single" "$mixed_runs"
+rm -rf "$runs_single" "$mixed_runs" "$mixed_shard_runs"
 
 echo "==> serve smoke (daemon round-trip: submit, stream, report, 100% warm hits)"
 python3 ci/serve_smoke.py ./target/release/condspec target/perf-smoke

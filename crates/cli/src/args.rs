@@ -4,6 +4,7 @@
 use condspec::{DefenseConfig, MachineConfig};
 use condspec_attacks::AttackScenario;
 use condspec_bench::perf::CellFilter;
+use condspec_engine::MachinePreset;
 use condspec_workloads::GadgetKind;
 use std::error::Error;
 use std::ffi::OsString;
@@ -185,48 +186,29 @@ pub enum Command {
         iters: Option<u64>,
         /// Override benchmark warmup iterations for every job.
         warmup: Option<u64>,
-        /// Shard across this many local worker processes (claim-based
-        /// draining over the store; implies `store`). 1 = no sharding.
-        shards: usize,
-        /// Owner id for claim-mode runs; `None` = `shard-<pid>`.
+        /// Run as one shard of the store root under this owner id:
+        /// claim-based draining over the store (implies `store`).
         owner: Option<String>,
-        /// Stale-lease steal timeout in milliseconds (claim mode).
+        /// Stale-lease steal timeout in milliseconds (claim mode, which
+        /// it also selects; the owner is then `shard-<pid>`).
         steal_after_ms: Option<u64>,
         /// Submit to a running daemon as a distributed sweep and stream
         /// progress instead of simulating locally; only `iters` and
         /// `warmup` apply with it.
         attach: Option<String>,
     },
-    /// Drain sweep jobs as one shard of a distributed run: claim over a
-    /// shared store root, or pull work from a daemon via `--attach`.
+    /// Pull jobs of a daemon's distributed submissions over HTTP.
     Worker {
-        /// Sweep name to drain (local store mode; refused with
-        /// `--attach`, where the daemon names the work).
-        sweep: Option<String>,
-        /// Pull work from this daemon address instead of a local store.
-        attach: Option<String>,
-        /// Store root; `None` = `target/condspec-store` (or
-        /// `$CONDSPEC_STORE_ROOT`). Local store mode only, like `jobs`
-        /// and `steal_after_ms`.
-        store_root: Option<String>,
+        /// The daemon's address.
+        attach: String,
         /// Owner id recorded in leases and provenance; `None` =
         /// `shard-<pid>`.
         owner: Option<String>,
-        /// Worker threads; 0 = all available cores.
-        jobs: usize,
-        /// Stale-lease steal timeout in milliseconds.
-        steal_after_ms: Option<u64>,
-        /// Idle poll interval in milliseconds (`--attach` mode).
+        /// Idle poll interval in milliseconds.
         poll_ms: u64,
-        /// `--attach` mode: exit when the daemon reports no pending
-        /// work instead of polling forever.
+        /// Exit when the daemon reports no pending work instead of
+        /// polling forever.
         drain: bool,
-        /// Override benchmark outer iterations for every job (local
-        /// store mode).
-        iters: Option<u64>,
-        /// Override benchmark warmup iterations for every job (local
-        /// store mode).
-        warmup: Option<u64>,
     },
     /// Inspect or maintain the persistent result store offline.
     Store {
@@ -304,11 +286,9 @@ USAGE:
                    [--format json|csv] [--out <file>]
   condspec sweep   <name> [--jobs <n>] [--resume] [--root <dir>] [--quiet]
                    [--progress] [--telemetry] [--store] [--store-root <dir>]
-                   [--iters <n>] [--warmup <n>] [--shards <n>] [--owner <id>]
+                   [--iters <n>] [--warmup <n>] [--owner <id>]
                    [--steal-after-ms <n>] [--attach <host:port>]
-  condspec worker  [<sweep>] [--attach <host:port>] [--store-root <dir>]
-                   [--owner <id>] [--jobs <n>] [--steal-after-ms <n>]
-                   [--poll-ms <n>] [--drain] [--iters <n>] [--warmup <n>]
+  condspec worker  --attach <host:port> [--owner <id>] [--poll-ms <n>] [--drain]
   condspec report  <sweep-id> [--root <dir>] [--store] [--store-root <dir>]
   condspec store   <stats|gc|verify> [--root <dir>]
   condspec serve   [--addr <host:port>] [--jobs <n>] [--root <dir>]
@@ -326,51 +306,27 @@ SWEEPS:    fig5, table4, table5, table6, lru, icache, leaks
            (artifacts land under target/condspec-runs/<sweep-id>/;
             re-run with --resume to skip completed jobs, or with
             --store to reuse results from target/condspec-store —
-            override the store root with $CONDSPEC_STORE_ROOT)
+            override the store root with $CONDSPEC_STORE_ROOT; with
+            --owner, processes sharing one --store-root each run the
+            sweep as a shard and simulate every job once between them)
 ";
 
 fn parse_defense(s: &str) -> Result<DefenseConfig, ParseError> {
-    match s {
-        "origin" => Ok(DefenseConfig::Origin),
-        "baseline" => Ok(DefenseConfig::Baseline),
-        "cache-hit" | "cachehit" => Ok(DefenseConfig::CacheHit),
-        "cache-hit-tpbuf" | "tpbuf" => Ok(DefenseConfig::CacheHitTpbuf),
-        other => Err(ParseError(format!("unknown defense `{other}`"))),
-    }
+    DefenseConfig::from_key(s).ok_or_else(|| ParseError(format!("unknown defense `{s}`")))
 }
 
 fn parse_scenario(s: &str) -> Result<AttackScenario, ParseError> {
-    match s {
-        "flush-reload" => Ok(AttackScenario::FlushReloadShared),
-        "flush-flush" => Ok(AttackScenario::FlushFlushShared),
-        "evict-reload" => Ok(AttackScenario::EvictReloadShared),
-        "prime-probe" => Ok(AttackScenario::PrimeProbeShared),
-        "prime-probe-noshare" => Ok(AttackScenario::PrimeProbeNoShare),
-        "evict-time" => Ok(AttackScenario::EvictTimeNoShare),
-        other => Err(ParseError(format!("unknown scenario `{other}`"))),
-    }
+    AttackScenario::from_key(s).ok_or_else(|| ParseError(format!("unknown scenario `{s}`")))
 }
 
 fn parse_kind(s: &str) -> Result<GadgetKind, ParseError> {
-    match s {
-        "v1" => Ok(GadgetKind::V1),
-        "v2" => Ok(GadgetKind::V2),
-        "v4" => Ok(GadgetKind::V4),
-        "v1-same-page" => Ok(GadgetKind::V1SamePage),
-        "v1-set-stride" => Ok(GadgetKind::V1SetStride),
-        "rsb" => Ok(GadgetKind::Rsb),
-        other => Err(ParseError(format!("unknown variant `{other}`"))),
-    }
+    GadgetKind::from_key(s).ok_or_else(|| ParseError(format!("unknown variant `{s}`")))
 }
 
 fn parse_machine(s: &str) -> Result<MachineConfig, ParseError> {
-    match s {
-        "paper-default" | "paper" => Ok(MachineConfig::paper_default()),
-        "a57" => Ok(MachineConfig::a57_like()),
-        "i7" => Ok(MachineConfig::i7_like()),
-        "xeon" => Ok(MachineConfig::xeon_like()),
-        other => Err(ParseError(format!("unknown machine `{other}`"))),
-    }
+    MachinePreset::from_key(s)
+        .map(|preset| preset.config())
+        .ok_or_else(|| ParseError(format!("unknown machine `{s}`")))
 }
 
 /// Pulls a boolean `--flag` out of `args`, returning whether it was
@@ -650,10 +606,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 return Err(ParseError("--iters must be at least 1".into()));
             }
             let warmup = take_number::<u64>(&mut rest, "--warmup")?;
-            let shards = take_number::<usize>(&mut rest, "--shards")?;
-            if shards == Some(0) {
-                return Err(ParseError("--shards must be at least 1".into()));
-            }
             let owner = take_flag(&mut rest, "--owner")?;
             let steal_after_ms = take_number::<u64>(&mut rest, "--steal-after-ms")?;
             if steal_after_ms == Some(0) {
@@ -673,7 +625,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         ("--telemetry", telemetry),
                         ("--store", store),
                         ("--store-root", store_root.is_some()),
-                        ("--shards", shards.is_some()),
                         ("--owner", owner.is_some()),
                         ("--steal-after-ms", steal_after_ms.is_some()),
                     ],
@@ -691,75 +642,32 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 store_root,
                 iters,
                 warmup,
-                shards: shards.unwrap_or(1),
                 owner,
                 steal_after_ms,
                 attach,
             }
         }
         "worker" => {
-            let sweep = match rest.first() {
-                Some(first) if !first.starts_with("--") => Some(rest.remove(0)),
-                _ => None,
-            };
-            let attach = take_flag(&mut rest, "--attach")?;
-            match (&sweep, &attach) {
-                (None, None) => {
-                    return Err(ParseError(
-                        "worker requires a sweep name (store mode) or --attach <host:port>".into(),
-                    ))
-                }
-                (Some(name), Some(_)) => {
-                    return Err(ParseError(format!(
-                        "sweep name `{name}` does not apply to worker --attach"
-                    )))
-                }
-                _ => {}
+            // A store-root shard is a sweep; `worker` only pulls from a
+            // daemon.
+            const SHARD: &str = "to drain a sweep as one shard of a store root, \
+                                 run `sweep <name> --owner <id> --store-root <dir>`";
+            if let Some(name) = rest.first().filter(|first| !first.starts_with("--")) {
+                return Err(ParseError(format!(
+                    "worker takes no sweep name (`{name}`); {SHARD}"
+                )));
             }
-            let store_root = take_flag(&mut rest, "--store-root")?;
+            let attach = take_flag(&mut rest, "--attach")?.ok_or_else(|| {
+                ParseError(format!("worker requires --attach <host:port>; {SHARD}"))
+            })?;
             let owner = take_flag(&mut rest, "--owner")?;
-            let jobs = take_number::<usize>(&mut rest, "--jobs")?;
-            let steal_after_ms = take_number::<u64>(&mut rest, "--steal-after-ms")?;
-            if steal_after_ms == Some(0) {
-                return Err(ParseError("--steal-after-ms must be at least 1".into()));
-            }
-            let poll_ms = take_number::<u64>(&mut rest, "--poll-ms")?;
+            let poll_ms = take_number::<u64>(&mut rest, "--poll-ms")?.unwrap_or(200);
             let drain = take_switch(&mut rest, "--drain");
-            let iters = take_number::<u64>(&mut rest, "--iters")?;
-            if iters == Some(0) {
-                return Err(ParseError("--iters must be at least 1".into()));
-            }
-            let warmup = take_number::<u64>(&mut rest, "--warmup")?;
-            // Each mode refuses the other's flags: the daemon names an
-            // `--attach` worker's jobs and scaling, one at a time.
-            if attach.is_some() {
-                refuse_ignored(
-                    "worker --attach",
-                    &[
-                        ("--store-root", store_root.is_some()),
-                        ("--jobs", jobs.is_some()),
-                        ("--steal-after-ms", steal_after_ms.is_some()),
-                        ("--iters", iters.is_some()),
-                        ("--warmup", warmup.is_some()),
-                    ],
-                )?;
-            } else {
-                refuse_ignored(
-                    "worker <sweep>",
-                    &[("--poll-ms", poll_ms.is_some()), ("--drain", drain)],
-                )?;
-            }
             Command::Worker {
-                sweep,
                 attach,
-                store_root,
                 owner,
-                jobs: jobs.unwrap_or(0),
-                steal_after_ms,
-                poll_ms: poll_ms.unwrap_or(200),
+                poll_ms,
                 drain,
-                iters,
-                warmup,
             }
         }
         "store" => {
@@ -1148,7 +1056,6 @@ mod tests {
                 store_root: None,
                 iters: None,
                 warmup: None,
-                shards: 1,
                 owner: None,
                 steal_after_ms: None,
                 attach: None
@@ -1171,7 +1078,6 @@ mod tests {
                 store_root: None,
                 iters: None,
                 warmup: None,
-                shards: 1,
                 owner: None,
                 steal_after_ms: None,
                 attach: None
@@ -1215,112 +1121,95 @@ mod tests {
     #[test]
     fn sweep_sharding_flags_parse() {
         match parse(&argv(
-            "sweep fig5 --shards 4 --owner shard-a --steal-after-ms 500 --store-root /tmp/s",
+            "sweep fig5 --owner shard-a --steal-after-ms 500 --store-root /tmp/s",
         ))
         .unwrap()
         {
             Command::Sweep {
-                shards,
                 owner,
                 steal_after_ms,
+                store_root,
                 attach,
                 ..
             } => {
-                assert_eq!(shards, 4);
                 assert_eq!(owner, Some("shard-a".to_string()));
                 assert_eq!(steal_after_ms, Some(500));
+                assert_eq!(store_root, Some("/tmp/s".to_string()));
                 assert_eq!(attach, None);
             }
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv("sweep leaks --attach 127.0.0.1:7877")).unwrap() {
-            Command::Sweep { attach, shards, .. } => {
+            Command::Sweep { attach, owner, .. } => {
                 assert_eq!(attach, Some("127.0.0.1:7877".to_string()));
-                assert_eq!(shards, 1);
+                assert_eq!(owner, None);
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(parse(&argv("sweep fig5 --shards 0")).is_err());
-        assert!(parse(&argv("sweep fig5 --shards many")).is_err());
         assert!(parse(&argv("sweep fig5 --steal-after-ms 0")).is_err());
-        assert!(
-            parse(&argv("sweep fig5 --shards 2 --attach 127.0.0.1:7877")).is_err(),
-            "local sharding and daemon attach are different modes"
+        // `--owner` alone shards a sweep: no flag spawns local shards.
+        assert_eq!(
+            parse(&argv("sweep fig5 --shards 2")).unwrap_err().0,
+            r#"unexpected arguments: ["--shards", "2"]"#
         );
     }
 
     #[test]
     fn worker_parses() {
         assert_eq!(
-            parse(&argv("worker fig5 --store-root /tmp/s --owner w1 --jobs 2")).unwrap(),
+            parse(&argv("worker --attach 127.0.0.1:7877 --poll-ms 50 --drain")).unwrap(),
             Command::Worker {
-                sweep: Some("fig5".to_string()),
-                attach: None,
-                store_root: Some("/tmp/s".to_string()),
-                owner: Some("w1".to_string()),
-                jobs: 2,
-                steal_after_ms: None,
-                poll_ms: 200,
-                drain: false,
-                iters: None,
-                warmup: None,
+                attach: "127.0.0.1:7877".to_string(),
+                owner: None,
+                poll_ms: 50,
+                drain: true,
             }
         );
         assert_eq!(
-            parse(&argv("worker --attach 127.0.0.1:7877 --poll-ms 50 --drain")).unwrap(),
+            parse(&argv("worker --attach h:1 --owner w1")).unwrap(),
             Command::Worker {
-                sweep: None,
-                attach: Some("127.0.0.1:7877".to_string()),
-                store_root: None,
-                owner: None,
-                jobs: 0,
-                steal_after_ms: None,
-                poll_ms: 50,
-                drain: true,
-                iters: None,
-                warmup: None,
+                attach: "h:1".to_string(),
+                owner: Some("w1".to_string()),
+                poll_ms: 200,
+                drain: false,
             }
         );
-        match parse(&argv(
-            "worker fig5 --steal-after-ms 250 --iters 2 --warmup 1",
-        ))
-        .unwrap()
-        {
-            Command::Worker {
-                steal_after_ms,
-                iters,
-                warmup,
-                ..
-            } => {
-                assert_eq!(steal_after_ms, Some(250));
-                assert_eq!(iters, Some(2));
-                assert_eq!(warmup, Some(1));
-            }
-            other => panic!("unexpected {other:?}"),
+        // A store-root shard is `sweep --owner`; the error says so.
+        assert_eq!(
+            parse(&argv("worker fig5 --store-root /tmp/s"))
+                .unwrap_err()
+                .0,
+            "worker takes no sweep name (`fig5`); to drain a sweep as one shard of a store \
+             root, run `sweep <name> --owner <id> --store-root <dir>`"
+        );
+        assert_eq!(
+            parse(&argv("worker")).unwrap_err().0,
+            "worker requires --attach <host:port>; to drain a sweep as one shard of a store \
+             root, run `sweep <name> --owner <id> --store-root <dir>`"
+        );
+        // `worker` takes none of a store-root shard's flags.
+        for line in [
+            "worker --attach h:1 --jobs 8",
+            "worker --attach h:1 --store-root /tmp/s",
+            "worker --attach h:1 --steal-after-ms 50",
+            "worker --attach h:1 --iters 2",
+            "worker --attach h:1 --warmup 1",
+        ] {
+            assert!(
+                parse(&argv(line))
+                    .unwrap_err()
+                    .0
+                    .starts_with("unexpected arguments"),
+                "{line}"
+            );
         }
-        assert!(
-            parse(&argv("worker")).is_err(),
-            "needs a sweep or an address"
-        );
-        assert!(parse(&argv("worker fig5 --steal-after-ms 0")).is_err());
-        assert!(parse(&argv("worker fig5 --jobs many")).is_err());
-        assert!(parse(&argv("worker fig5 stray")).is_err());
+        assert!(parse(&argv("worker --attach h:1 --poll-ms soon")).is_err());
+        assert!(parse(&argv("worker --attach h:1 stray")).is_err());
     }
 
     #[test]
     fn attach_modes_refuse_the_flags_they_ignore() {
         for (line, flag) in [
-            ("worker --attach h:1 --jobs 8", "--jobs"),
-            ("worker --attach h:1 --store-root /tmp/s", "--store-root"),
-            (
-                "worker --attach h:1 --steal-after-ms 50",
-                "--steal-after-ms",
-            ),
-            ("worker --attach h:1 --iters 2", "--iters"),
-            ("worker --attach h:1 --warmup 1", "--warmup"),
-            ("worker fig5 --attach h:1", "`fig5`"),
-            ("worker fig5 --poll-ms 50", "--poll-ms"),
-            ("worker fig5 --drain", "--drain"),
             ("sweep fig5 --attach h:1 --jobs 2", "--jobs"),
             ("sweep fig5 --attach h:1 --resume", "--resume"),
             ("sweep fig5 --attach h:1 --root /tmp/r", "--root"),
@@ -1332,7 +1221,6 @@ mod tests {
                 "sweep fig5 --attach h:1 --store-root /tmp/s",
                 "--store-root",
             ),
-            ("sweep fig5 --attach h:1 --shards 1", "--shards"),
             ("sweep fig5 --attach h:1 --owner w", "--owner"),
             (
                 "sweep fig5 --attach h:1 --steal-after-ms 50",
@@ -1342,14 +1230,6 @@ mod tests {
             let err = parse(&argv(line)).unwrap_err();
             assert!(err.0.contains(flag), "{line}: {err}");
         }
-        assert_eq!(
-            parse(&argv("worker --attach h:1 --jobs 8")).unwrap_err().0,
-            "--jobs does not apply to worker --attach"
-        );
-        assert_eq!(
-            parse(&argv("worker fig5 --drain")).unwrap_err().0,
-            "--drain does not apply to worker <sweep>"
-        );
         assert_eq!(
             parse(&argv("sweep table4 --attach h:1 --store"))
                 .unwrap_err()
@@ -1523,7 +1403,7 @@ mod tests {
             ),
             ("sweep fig5 --jobs -1", "bad --jobs `-1`"),
             (
-                "worker fig5 --steal-after-ms soon",
+                "sweep fig5 --steal-after-ms soon",
                 "bad --steal-after-ms `soon`",
             ),
             (

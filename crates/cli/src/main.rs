@@ -429,7 +429,6 @@ fn run(cmd: Command) -> ExitCode {
             store_root,
             iters,
             warmup,
-            shards,
             owner,
             steal_after_ms,
             attach,
@@ -444,24 +443,25 @@ fn run(cmd: Command) -> ExitCode {
             if let Some(addr) = attach {
                 return run_attached_sweep(&addr, &name, iters, warmup);
             }
-            // Any sharding knob switches the scheduler to claim-based
-            // draining, which needs a store as the shared substrate.
-            let claim_mode = shards > 1 || owner.is_some() || steal_after_ms.is_some();
-            let store_path = store_root_from(store || claim_mode, store_root);
-            let owner_id = owner.unwrap_or_else(condspec_engine::ClaimOptions::default_owner);
+            // `--owner` (or a steal timeout) runs the sweep as one shard
+            // of the store root: claim-based draining, which needs a
+            // store as the shared substrate.
+            let claim_mode = owner.is_some() || steal_after_ms.is_some();
             let mut opts = condspec_engine::SweepOptions {
                 workers: jobs,
                 resume,
                 quiet,
                 progress,
                 telemetry,
-                store: store_path.clone(),
+                store: store_root_from(store || claim_mode, store_root),
                 bench_iterations: iters,
                 bench_warmup: warmup,
                 ..Default::default()
             };
             if claim_mode {
-                let mut claim = condspec_engine::ClaimOptions::new(owner_id.clone());
+                let mut claim = condspec_engine::ClaimOptions::new(
+                    owner.unwrap_or_else(condspec_engine::ClaimOptions::default_owner),
+                );
                 if let Some(ms) = steal_after_ms {
                     claim.steal_after = std::time::Duration::from_millis(ms);
                 }
@@ -470,68 +470,16 @@ fn run(cmd: Command) -> ExitCode {
             if let Some(root) = root {
                 opts.root = root.into();
             }
-            // The coordinator is shard 0; the rest are spawned `condspec
-            // worker` children draining the same store root.
-            let mut children = Vec::new();
-            if shards > 1 {
-                let exe = match std::env::current_exe() {
-                    Ok(exe) => exe,
-                    Err(e) => {
-                        eprintln!("sweep {name}: cannot locate own executable: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let store_dir = store_path.as_ref().expect("claim mode implies a store");
-                for shard in 1..shards {
-                    let mut cmd = std::process::Command::new(&exe);
-                    cmd.arg("worker")
-                        .arg(&name)
-                        .arg("--store-root")
-                        .arg(store_dir)
-                        .arg("--owner")
-                        .arg(format!("{owner_id}-{shard}"));
-                    if jobs > 0 {
-                        cmd.arg("--jobs").arg(jobs.to_string());
-                    }
-                    if let Some(ms) = steal_after_ms {
-                        cmd.arg("--steal-after-ms").arg(ms.to_string());
-                    }
-                    if let Some(i) = iters {
-                        cmd.arg("--iters").arg(i.to_string());
-                    }
-                    if let Some(w) = warmup {
-                        cmd.arg("--warmup").arg(w.to_string());
-                    }
-                    cmd.stdout(std::process::Stdio::null());
-                    match cmd.spawn() {
-                        Ok(child) => children.push(child),
-                        Err(e) => {
-                            eprintln!("sweep {name}: cannot spawn worker shard {shard}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-            }
             let outcome = match condspec_engine::run_sweep(&sweep, &opts) {
                 Ok(o) => o,
                 Err(e) => {
-                    for mut child in children {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                    }
                     eprintln!("sweep {name} failed: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            for mut child in children {
-                let _ = child.wait();
-            }
             // Results are keyed by the scaled jobs' hashes, so render
             // through the same scaled sweep that ran.
-            println!(
-                "{}",
-                sweep.clone().scaled(iters, warmup).render(&outcome.results)
-            );
+            println!("{}", sweep.scaled(iters, warmup).render(&outcome.results));
             println!(
                 "sweep {}: {} executed, {} store hits, {} skipped, {} failed — artifacts in {}",
                 outcome.sweep_id,
@@ -557,94 +505,13 @@ fn run(cmd: Command) -> ExitCode {
             }
         }
         Command::Worker {
-            sweep,
             attach,
-            store_root,
             owner,
-            jobs,
-            steal_after_ms,
             poll_ms,
             drain,
-            iters,
-            warmup,
         } => {
             let owner = owner.unwrap_or_else(condspec_engine::ClaimOptions::default_owner);
-            if let Some(addr) = attach {
-                return run_remote_worker(&addr, &owner, poll_ms, drain);
-            }
-            let name = sweep.expect("parser requires a sweep without --attach");
-            let Some(sweep) = condspec_engine::Sweep::by_name(&name) else {
-                eprintln!(
-                    "unknown sweep `{name}` — available: {}",
-                    condspec_engine::Sweep::NAMES.join(", ")
-                );
-                return ExitCode::FAILURE;
-            };
-            let scaled = sweep.scaled(iters, warmup);
-            let store = ResultStore::open(
-                store_root
-                    .map(PathBuf::from)
-                    .unwrap_or_else(ResultStore::default_root),
-            );
-            let mut claim = condspec_engine::ClaimOptions::new(owner.clone());
-            if let Some(ms) = steal_after_ms {
-                claim.steal_after = std::time::Duration::from_millis(ms);
-            }
-            let programs = std::sync::Arc::new(condspec_engine::ProgramCache::new());
-            let total = scaled.jobs.len();
-            let started = std::time::Instant::now();
-            let mut done = 0usize;
-            let results = condspec_engine::run_jobs_claimed(
-                &scaled.jobs,
-                jobs,
-                &programs,
-                &store,
-                &claim,
-                |slot, job| {
-                    done += 1;
-                    let state = match (&job.outcome, job.source) {
-                        (Err(_), _) => "FAILED".to_string(),
-                        (Ok(_), condspec_engine::JobSource::Simulated) => "simulated".to_string(),
-                        (Ok(_), _) => match &job.origin {
-                            Some(origin) => format!("store@{origin}"),
-                            None => "store".to_string(),
-                        },
-                    };
-                    eprintln!(
-                        "worker {owner}: [{done}/{total}] {} [{state}]",
-                        scaled.jobs[slot].label()
-                    );
-                },
-            );
-            let simulated = results
-                .iter()
-                .filter(|r| r.outcome.is_ok() && r.source == condspec_engine::JobSource::Simulated)
-                .count();
-            let via_store = results
-                .iter()
-                .filter(|r| r.outcome.is_ok() && r.source == condspec_engine::JobSource::Store)
-                .count();
-            let failed: Vec<_> = results
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| r.outcome.as_ref().err().map(|e| (i, e)))
-                .collect();
-            println!(
-                "worker {owner}: {total} jobs — {simulated} simulated, {via_store} via store, \
-                 {} failed in {:.1}s",
-                failed.len(),
-                started.elapsed().as_secs_f64()
-            );
-            println!("{}", store.summary());
-            println!("{}", store.claims_summary());
-            for (i, error) in &failed {
-                eprintln!("failed job {} ({}): {error}", i, scaled.jobs[*i].label());
-            }
-            if failed.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+            run_remote_worker(&attach, &owner, poll_ms, drain)
         }
         Command::Store { action, root } => {
             let store = ResultStore::open(
@@ -1037,7 +904,7 @@ fn run_attached_sweep(addr: &str, name: &str, iters: Option<u64>, warmup: Option
     }
 }
 
-/// `condspec worker --attach` — pull jobs from a daemon over HTTP:
+/// `condspec worker` — pull jobs from a daemon over HTTP:
 /// claim (the daemon takes the job's store lease under this worker's
 /// owner id), simulate locally (panic-isolated, program-cached), report
 /// the artifact, repeat. A heartbeat thread renews the lease while a job

@@ -25,6 +25,8 @@
 //! `resumed`) — byte-identity comparisons between runs should cover the
 //! job artifacts and rendered reports, not `manifest.json`.
 
+use crate::job::JobSpec;
+use crate::sweep::SweepResults;
 use condspec_stats::Json;
 use std::fs;
 use std::io;
@@ -99,6 +101,36 @@ pub struct JobStatus {
     /// the worker that simulated this job (ours, or the shard recorded
     /// in the store entry we loaded). `None` outside claim mode.
     pub owner: Option<String>,
+}
+
+impl JobStatus {
+    /// The manifest rows of `jobs`, in sweep order: a job is `ok` when
+    /// `results` holds its artifact and `failed` otherwise, and
+    /// `provenance` gives each job's source and owner.
+    pub fn rows(
+        jobs: &[JobSpec],
+        results: &SweepResults,
+        provenance: impl IntoIterator<Item = (JobSource, Option<String>)>,
+    ) -> Vec<JobStatus> {
+        jobs.iter()
+            .zip(provenance)
+            .map(|(job, (source, owner))| {
+                let hash = job.hash_hex();
+                let status = if results.contains_key(&hash) {
+                    "ok"
+                } else {
+                    "failed"
+                };
+                JobStatus {
+                    label: job.label(),
+                    hash,
+                    status,
+                    source,
+                    owner,
+                }
+            })
+            .collect()
+    }
 }
 
 /// The manifest's sweep-level header.

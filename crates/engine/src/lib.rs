@@ -19,6 +19,12 @@
 //! the in-memory program cache reports `program-cache: ...` and the
 //! persistent store `result-store: ...` at the end of a run.
 //!
+//! With [`SweepOptions::claim`] set as well, the store's leases decide
+//! which process runs each job, so any number of sweeps sharing one
+//! store root (`condspec sweep <name> --owner <id> --store-root <dir>`,
+//! one per shard) simulate every job exactly once between them, and each
+//! still writes the full artifact directory.
+//!
 //! Determinism is the design center: artifacts contain only simulation
 //! results (never wall-clock data), workers communicate results by job
 //! index, and sweep ids derive from job content — so a sweep's on-disk
@@ -47,10 +53,7 @@ pub use cache::{ProgramCache, WorkerContext};
 pub use condspec_store::ResultStore;
 pub use job::{JobSpec, MachinePreset, Workload};
 pub use sampled::{run_sampled_bench, SampledBenchOutcome, SampledBenchSpec};
-pub use scheduler::{
-    default_workers, run_jobs_claimed, run_jobs_stored, ClaimOptions, ClaimedJob, JobResult,
-    JobTiming,
-};
+pub use scheduler::{default_workers, run_jobs_stored, ClaimOptions, JobResult, JobTiming};
 pub use sweep::{leak_matrix, LeakMatrix, Sweep, SweepResults};
 pub use telemetry::SweepTelemetry;
 
@@ -88,10 +91,11 @@ pub struct SweepOptions {
     /// sweep directory. Off by default: the file is nondeterministic by
     /// nature and excluded from the byte-identical artifact guarantee.
     pub telemetry: bool,
-    /// Drain jobs through the store's lease protocol
-    /// ([`run_jobs_claimed`]) instead of the local cursor, so other
-    /// worker processes sharing [`SweepOptions::store`] can shard the
-    /// sweep. Requires `store`; ignored without one.
+    /// Drain jobs through the store's lease protocol (see
+    /// [`scheduler`]) instead of the local cursor, so any number of
+    /// processes sharing [`SweepOptions::store`] run the sweep as
+    /// shards and simulate each job once. Requires `store`; ignored
+    /// without one.
     pub claim: Option<ClaimOptions>,
 }
 
@@ -235,7 +239,7 @@ pub fn run_sweep_observed(
 
     // Partition into resumable (artifact exists and parses) and pending.
     let mut results = SweepResults::new();
-    let mut sources: Vec<JobSource> = vec![JobSource::Resumed; sweep.jobs.len()];
+    let mut provenance = vec![(JobSource::Resumed, None); sweep.jobs.len()];
     let mut pending: Vec<(usize, JobSpec)> = Vec::new();
     for (index, job) in sweep.jobs.iter().enumerate() {
         match opts
@@ -369,10 +373,8 @@ pub fn run_sweep_observed(
 
     // Fold fresh results in and derive per-job statuses in sweep order.
     let mut failed = Vec::new();
-    let mut origins: Vec<Option<String>> = vec![None; sweep.jobs.len()];
     for ((index, job), done) in pending.iter().zip(job_results) {
-        sources[*index] = done.source;
-        origins[*index] = done.origin;
+        provenance[*index] = (done.source, done.origin);
         match done.outcome {
             Ok(doc) => {
                 results.insert(job.hash_hex(), doc);
@@ -380,26 +382,6 @@ pub fn run_sweep_observed(
             Err(message) => failed.push((job.hash_hex(), job.label(), message)),
         }
     }
-    let statuses: Vec<JobStatus> = sweep
-        .jobs
-        .iter()
-        .zip(sources.iter().zip(&origins))
-        .map(|(job, (source, origin))| {
-            let hash = job.hash_hex();
-            let status = if results.contains_key(&hash) {
-                "ok"
-            } else {
-                "failed"
-            };
-            JobStatus {
-                hash,
-                label: job.label(),
-                status,
-                source: *source,
-                owner: origin.clone(),
-            }
-        })
-        .collect();
     dir.write_manifest(
         &ManifestInfo {
             sweep_name: sweep.name,
@@ -407,7 +389,7 @@ pub fn run_sweep_observed(
             bench_iterations: opts.bench_iterations,
             bench_warmup: opts.bench_warmup,
         },
-        &statuses,
+        &JobStatus::rows(&sweep.jobs, &results, provenance),
     )?;
 
     Ok(SweepOutcome {

@@ -17,15 +17,20 @@
 //!   the job's store key is returned as-is (tagged [`JobSource::Store`]),
 //!   and every freshly simulated success is inserted back — best-effort,
 //!   since a read-only or full store must never fail a sweep.
-//! * **Leases** ([`run_jobs_claimed`]): the store's `claims/` leases
-//!   decide, so any number of pools — in other processes, or on other
-//!   hosts sharing the store root — complete one job list exactly once.
-//!   Jobs leased by a live owner are deferred and polled until their
-//!   result appears or their lease goes stale and is stolen, and a
-//!   heartbeat thread renews the leases this pool holds.
+//! * **Leases** (a sweep run with [`SweepOptions::claim`]): the store's
+//!   `claims/` leases decide, so any number of pools — in other
+//!   processes, or on other hosts sharing the store root — complete one
+//!   job list exactly once. A store hit resolves a job; otherwise the
+//!   worker takes its lease (stealing a stale one), simulates, inserts
+//!   under its owner id and releases. Jobs leased by a live owner are
+//!   deferred and polled until their result appears or their lease goes
+//!   stale and is stolen, and a heartbeat thread renews the leases this
+//!   pool holds at a quarter of [`ClaimOptions::steal_after`].
 //!
 //! Store entries hold exactly the artifact the job would have produced,
 //! so a store hit is byte-identical to a simulation.
+//!
+//! [`SweepOptions::claim`]: crate::SweepOptions::claim
 
 use crate::artifact::JobSource;
 use crate::cache::{ProgramCache, WorkerContext};
@@ -120,7 +125,7 @@ impl Default for ClaimOptions {
 
 /// One job's outcome from the pool, with its provenance.
 #[derive(Debug, Clone)]
-pub struct ClaimedJob {
+pub(crate) struct ClaimedJob {
     /// The artifact document, or the failure message.
     pub outcome: JobResult,
     /// Wall-clock telemetry (for store-resolved jobs, the time spent
@@ -189,41 +194,7 @@ pub fn run_jobs_stored(
     .collect()
 }
 
-/// [`run_jobs_stored`] under the store's lease protocol. Any number of
-/// pools — in other processes or on other hosts sharing the store root
-/// — run this over the same job list and cooperatively complete it
-/// exactly once:
-///
-/// 1. a store hit resolves the job immediately;
-/// 2. otherwise the worker claims the job's lease (stealing stale
-///    ones), simulates, inserts with its owner id and releases;
-/// 3. jobs leased by a live owner are deferred, then polled until
-///    their result appears in the store (remote completion) or their
-///    lease goes stale and is stolen (remote death).
-///
-/// A background thread heartbeats every lease this pool holds at a
-/// quarter of `claim.steal_after`, so long simulations are never
-/// mistaken for dead owners. Results are returned in input order and
-/// are byte-identical to a solo [`run_jobs_stored`] run; only the
-/// `timing`/`origin`/`remote` annotations vary with scheduling.
-pub fn run_jobs_claimed(
-    jobs: &[JobSpec],
-    workers: usize,
-    programs: &Arc<ProgramCache>,
-    store: &ResultStore,
-    claim: &ClaimOptions,
-    on_done: impl FnMut(usize, &ClaimedJob),
-) -> Vec<ClaimedJob> {
-    run_pool(
-        jobs,
-        workers,
-        programs,
-        Claiming::Leases(store, claim),
-        on_done,
-    )
-}
-
-/// The pool loop behind [`run_jobs_stored`] and [`run_jobs_claimed`].
+/// The pool loop behind [`run_jobs_stored`] and claim-mode sweeps.
 pub(crate) fn run_pool(
     jobs: &[JobSpec],
     workers: usize,

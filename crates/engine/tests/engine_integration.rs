@@ -8,13 +8,13 @@
 
 use condspec::DefenseConfig;
 use condspec_engine::{
-    load_sweep_report_with_store, run_jobs_claimed, run_sweep, run_sweep_observed, ClaimOptions,
-    JobSource, JobSpec, ProgramCache, ResultStore, Sweep, SweepOptions, Workload,
+    load_sweep_report_with_store, run_sweep, run_sweep_observed, ClaimOptions, JobSpec,
+    ResultStore, Sweep, SweepOptions, Workload,
 };
+use condspec_stats::Json;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -60,6 +60,19 @@ fn options(root: &Path, workers: usize) -> SweepOptions {
         quiet: true,
         ..SweepOptions::default()
     }
+}
+
+/// Each manifest row's `(source, owner)`, in sweep order.
+fn manifest_rows(dir: &Path) -> Vec<(String, Option<String>)> {
+    let text = fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+    let manifest = Json::parse(&text).expect("manifest JSON");
+    let rows = manifest.get("jobs").and_then(Json::as_array).expect("rows");
+    rows.iter()
+        .map(|row| {
+            let field = |key| row.get(key).and_then(Json::as_str).map(str::to_string);
+            (field("source").expect("source"), field("owner"))
+        })
+        .collect()
 }
 
 /// Every file of the sweep directory, by name, as raw bytes.
@@ -247,101 +260,79 @@ fn report_falls_back_to_the_store_for_deleted_artifacts() {
 #[test]
 fn two_pools_racing_one_store_split_the_work_without_duplicates() {
     let sweep = mini_sweep();
+    let jobs = sweep.jobs.len();
     let store_root = scratch("claims-race");
-    let solo_root = scratch("claims-race-solo");
+    let solo_store = scratch("claims-race-solo-db");
+    let roots = ["a", "b", "solo"].map(|tag| scratch(&format!("claims-race-{tag}")));
+    let shard = |root: &Path, store: &Path, owner: &str| SweepOptions {
+        store: Some(store.to_path_buf()),
+        claim: Some(ClaimOptions::new(owner)),
+        ..options(root, 1)
+    };
 
-    // Two worker pools — separate ResultStore instances on one root,
-    // distinct owners — drain the same job list concurrently, exactly
-    // as two `condspec worker` processes would.
-    let store_a = ResultStore::open(&store_root);
-    let store_b = ResultStore::open(&store_root);
-    let (results_a, results_b) = std::thread::scope(|scope| {
-        let jobs = &sweep.jobs;
-        let a = scope.spawn(|| {
-            let programs = Arc::new(ProgramCache::new());
-            run_jobs_claimed(
-                jobs,
-                1,
-                &programs,
-                &store_a,
-                &ClaimOptions::new("shard-a"),
-                |_, _| {},
-            )
-        });
-        let b = scope.spawn(|| {
-            let programs = Arc::new(ProgramCache::new());
-            run_jobs_claimed(
-                jobs,
-                1,
-                &programs,
-                &store_b,
-                &ClaimOptions::new("shard-b"),
-                |_, _| {},
-            )
-        });
+    // Two claim-mode sweeps — separate store handles on one root,
+    // distinct owners, a run root each — drain the same job list
+    // concurrently, exactly as two `condspec sweep --owner` processes
+    // would.
+    let (a, b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| run_sweep(&sweep, &shard(&roots[0], &store_root, "shard-a")));
+        let b = scope.spawn(|| run_sweep(&sweep, &shard(&roots[1], &store_root, "shard-b")));
         (a.join().expect("pool a"), b.join().expect("pool b"))
     });
+    let (a, b) = (a.expect("sweep a runs"), b.expect("sweep b runs"));
+    assert!(a.failed.is_empty() && b.failed.is_empty());
 
-    // Exactly one pool simulated each job: the insert counters prove
-    // the split, the duplicate counters prove its exclusivity.
+    // Exactly one pool simulated, and so inserted, each job: the
+    // executed counts split the sweep, and no job reads `simulated` in
+    // both manifests, so no insert found its entry already filed.
     assert_eq!(
-        store_a.inserts() + store_b.inserts(),
-        sweep.jobs.len() as u64,
+        a.executed + b.executed,
+        jobs,
         "every job inserted exactly once across the two pools"
     );
-    assert_eq!(store_a.duplicate_inserts(), 0);
-    assert_eq!(store_b.duplicate_inserts(), 0);
-
-    // Both pools resolve the complete sweep, and their artifact
-    // documents are identical to an uncontended solo run.
-    let solo_store = ResultStore::open(&solo_root);
-    let programs = Arc::new(ProgramCache::new());
-    let solo = run_jobs_claimed(
-        &sweep.jobs,
-        2,
-        &programs,
-        &solo_store,
-        &ClaimOptions::new("solo"),
-        |_, _| {},
-    );
-    for (index, reference) in solo.iter().enumerate() {
-        let expected = reference.outcome.as_ref().expect("solo job ok");
-        for (pool, results) in [("a", &results_a), ("b", &results_b)] {
-            let got = results[index]
-                .outcome
-                .as_ref()
-                .unwrap_or_else(|e| panic!("pool {pool} job {index} failed: {e}"));
-            assert_eq!(got, expected, "pool {pool} job {index} artifact differs");
-        }
+    for (index, (row_a, row_b)) in manifest_rows(&a.dir)
+        .iter()
+        .zip(&manifest_rows(&b.dir))
+        .enumerate()
+    {
+        let simulated = [row_a, row_b]
+            .iter()
+            .filter(|(source, _)| source == "simulated")
+            .count();
+        assert_eq!(simulated, 1, "job {index} simulated {simulated} times");
         // Provenance: whoever simulated it is recorded; the other pool
         // sees that owner through the store envelope.
-        let origin_a = results_a[index].origin.as_deref().expect("origin known");
-        let origin_b = results_b[index].origin.as_deref().expect("origin known");
-        assert_eq!(origin_a, origin_b);
-        assert!(matches!(origin_a, "shard-a" | "shard-b"));
+        assert_eq!(row_a.1, row_b.1, "job {index} owners differ");
+        assert!(matches!(row_a.1.as_deref(), Some("shard-a" | "shard-b")));
     }
-    let simulated = |results: &[condspec_engine::ClaimedJob]| -> usize {
-        results
-            .iter()
-            .filter(|r| r.source == JobSource::Simulated)
-            .count()
-    };
-    assert_eq!(
-        simulated(&results_a) + simulated(&results_b),
-        sweep.jobs.len(),
-        "simulation happened exactly once per job"
-    );
+    let stats = ResultStore::open(&store_root).stats().expect("store stats");
+    assert_eq!(stats.entries, jobs as u64);
     // No leases survive a clean drain.
-    assert_eq!(store_a.leases().expect("lease listing").len(), 0);
+    assert_eq!(stats.leases, 0);
 
-    fs::remove_dir_all(&store_root).ok();
-    fs::remove_dir_all(&solo_root).ok();
+    // Both pools resolve the complete sweep, and their artifact
+    // documents are identical to an uncontended solo run's.
+    let solo = run_sweep(&sweep, &shard(&roots[2], &solo_store, "solo")).expect("solo run");
+    let artifacts = |dir: &Path| {
+        let mut files = dir_bytes(dir);
+        files.remove("manifest.json").expect("manifest");
+        files
+    };
+    let reference = artifacts(&solo.dir);
+    assert_eq!(reference.len(), jobs);
+    assert_eq!(artifacts(&a.dir), reference, "pool a's artifacts differ");
+    assert_eq!(artifacts(&b.dir), reference, "pool b's artifacts differ");
+
+    for dir in roots.iter().chain([&store_root, &solo_store]) {
+        fs::remove_dir_all(dir).ok();
+    }
 }
 
 #[test]
 fn a_dead_owners_leases_are_stolen_and_the_sweep_completes() {
     let sweep = mini_sweep();
     let store_root = scratch("claims-steal");
+    let root = scratch("claims-steal-runs");
     let store = ResultStore::open(&store_root);
 
     // A crashed worker left leases on two jobs: claimed, never
@@ -353,31 +344,40 @@ fn a_dead_owners_leases_are_stolen_and_the_sweep_completes() {
         assert_eq!(status, condspec_store::ClaimStatus::Acquired);
     }
 
-    // A live pool with a short steal timeout drains the sweep anyway.
-    let live = ResultStore::open(&store_root);
-    let programs = Arc::new(ProgramCache::new());
-    let claim = ClaimOptions {
-        steal_after: Duration::from_millis(50),
-        ..ClaimOptions::new("live-worker")
+    // A live shard with a short steal timeout drains the sweep anyway.
+    let opts = SweepOptions {
+        store: Some(store_root.clone()),
+        claim: Some(ClaimOptions {
+            steal_after: Duration::from_millis(50),
+            ..ClaimOptions::new("live-worker")
+        }),
+        ..options(&root, 2)
     };
-    let results = run_jobs_claimed(&sweep.jobs, 2, &programs, &live, &claim, |_, _| {});
-
-    assert!(live.steals() >= 1, "the stale leases were stolen");
-    assert_eq!(live.inserts(), sweep.jobs.len() as u64);
-    assert_eq!(live.duplicate_inserts(), 0);
-    for (index, result) in results.iter().enumerate() {
-        assert!(
-            result.outcome.is_ok(),
-            "job {index} lost to the dead worker's lease"
-        );
-        assert_eq!(result.origin.as_deref(), Some("live-worker"));
-    }
-    assert_eq!(
-        live.leases().expect("lease listing").len(),
-        0,
-        "stolen leases were released on insert"
+    let outcome = run_sweep(&sweep, &opts).expect("live sweep");
+    assert!(
+        outcome.failed.is_empty(),
+        "a job was lost to the dead worker's lease: {:?}",
+        outcome.failed
     );
+    assert_eq!(outcome.executed, sweep.jobs.len());
+    assert_eq!(outcome.store_hits, 0);
+
+    // The live shard simulated every job, the two dead-leased ones
+    // included. It could only do so under a lease of its own, since it
+    // releases only its own leases and none is left: the stale leases
+    // were stolen, then released on insert.
+    for (index, (source, owner)) in manifest_rows(&outcome.dir).iter().enumerate() {
+        assert_eq!(
+            (source.as_str(), owner.as_deref()),
+            ("simulated", Some("live-worker")),
+            "job {index}"
+        );
+    }
+    let stats = store.stats().expect("store stats");
+    assert_eq!(stats.entries, sweep.jobs.len() as u64);
+    assert_eq!(stats.leases, 0, "stolen leases were released on insert");
     fs::remove_dir_all(&store_root).ok();
+    fs::remove_dir_all(&root).ok();
 }
 
 #[test]

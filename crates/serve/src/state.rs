@@ -199,9 +199,9 @@ struct Resolved {
     /// The owner that simulated it: the reporting worker, or for a store
     /// hit the inserting shard recorded in the entry.
     owner: Option<String>,
-    /// Found in the persistent store rather than reported over the
-    /// work API.
-    via_store: bool,
+    /// [`JobSource::Store`] when found in the persistent store,
+    /// [`JobSource::Simulated`] when reported over the work API.
+    source: JobSource,
     failed: bool,
 }
 
@@ -209,8 +209,8 @@ struct Resolved {
 /// (`None` until resolved), and the artifacts collected so far. Who is
 /// working on an unresolved job is not recorded here: that is the
 /// store's lease on its key, which the daemon takes under the claiming
-/// worker's owner id — so `condspec worker --store-root` pools on the
-/// same root and `--attach` workers never run each other's jobs.
+/// worker's owner id — so `condspec sweep --owner` shards on the same
+/// root and `--attach` workers never run each other's jobs.
 struct DistributedRun {
     submission: u64,
     sweep: Sweep,
@@ -396,8 +396,22 @@ impl ServerState {
         }
     }
 
-    /// A snapshot of one submission.
+    /// A snapshot of one submission. A distributed submission first
+    /// resolves the jobs whose results reached the store since it was
+    /// last read, so store-root shards finish it with no pull worker
+    /// polling; any other submission is read without a store call.
     pub fn submission(&self, id: u64) -> Option<Submission> {
+        if let Some(run) = self
+            .work
+            .lock()
+            .expect("work queue")
+            .iter_mut()
+            .find(|run| run.submission == id && !run.complete())
+        {
+            if let Err(e) = self.resolve_stored(run) {
+                self.fail(id, &e);
+            }
+        }
         self.submissions
             .lock()
             .expect("registry")
@@ -419,10 +433,12 @@ impl ServerState {
     /// Registers a distributed submission: jobs already in the store
     /// resolve immediately (with their recorded inserting shard as
     /// provenance); the rest are leased to remote workers over `POST
-    /// /api/work/claim` and reported back over `/api/work/result`. No
-    /// local simulation happens at all. `claim_timeout` is the leases'
-    /// steal timeout (default [`condspec_store::DEFAULT_STEAL_TIMEOUT`]).
-    /// Returns `(submission id, sweep id)`.
+    /// /api/work/claim` and reported back over `/api/work/result`, or
+    /// filed in the store by `condspec sweep --owner` shards, which the
+    /// next claim or status read picks up. No local simulation happens
+    /// at all. `claim_timeout` is the leases' steal timeout (default
+    /// [`condspec_store::DEFAULT_STEAL_TIMEOUT`]). Returns
+    /// `(submission id, sweep id)`.
     ///
     /// # Errors
     ///
@@ -436,9 +452,9 @@ impl ServerState {
         warmup: Option<u64>,
         claim_timeout: Option<Duration>,
     ) -> io::Result<(u64, String)> {
-        let Some(store) = &self.store else {
+        if self.store.is_none() {
             return Err(io::Error::other("the store is disabled (--no-store)"));
-        };
+        }
         let scaled = sweep.scaled(iterations, warmup);
         let sweep_id = scaled.sweep_id();
         let dir = SweepDir::create(&self.runs_root, &sweep_id)?;
@@ -458,17 +474,30 @@ impl ServerState {
             results: SweepResults::new(),
             sweep: scaled,
         };
-        for index in 0..run.items.len() {
-            if let Some((doc, origin)) = store.load_with_origin(&run.sweep.jobs[index].store_key())
-            {
-                if let Err(e) = self.record(&mut run, index, Ok(doc), origin, true) {
-                    self.fail(id, &e);
-                    return Err(e);
-                }
-            }
+        if let Err(e) = self.resolve_stored(&mut run) {
+            self.fail(id, &e);
+            return Err(e);
         }
         self.work.lock().expect("work queue").push(run);
         Ok((id, sweep_id))
+    }
+
+    /// Resolves every unresolved job of `run` whose result the store
+    /// holds, as a store hit with the inserting shard as its owner.
+    fn resolve_stored(&self, run: &mut DistributedRun) -> io::Result<()> {
+        let Some(store) = &self.store else {
+            return Ok(());
+        };
+        for index in 0..run.items.len() {
+            if run.items[index].is_some() {
+                continue;
+            }
+            if let Some((doc, origin)) = store.load_with_origin(&run.sweep.jobs[index].store_key())
+            {
+                self.record(run, index, Ok(doc), origin, JobSource::Store)?;
+            }
+        }
+        Ok(())
     }
 
     /// Records that `owner` is alive, adding `completed_delta` to its
@@ -493,9 +522,9 @@ impl ServerState {
     /// holds. Leases are the store's (DESIGN §13.1): a lease older than
     /// the run's claim timeout is stolen, so a disconnected worker's job
     /// is re-issued, and jobs another worker inserted meanwhile —
-    /// including `condspec worker` pools on the store root — resolve as
-    /// store hits. With nothing to hand out, responds `{"idle": true,
-    /// "active": N}`.
+    /// including `condspec sweep --owner` shards on the store root —
+    /// resolve as store hits. With nothing to hand out, responds
+    /// `{"idle": true, "active": N}`.
     pub fn claim_work(&self, owner: &str) -> Json {
         self.touch_worker(owner, 0);
         let mut work = self.work.lock().expect("work queue");
@@ -546,7 +575,7 @@ impl ServerState {
             let key = run.sweep.jobs[index].store_key();
             match store.claim_or_load(&key, owner, run.steal_after) {
                 Ok(Claim::Stored(doc, origin)) => {
-                    if let Err(e) = self.record(run, index, Ok(doc), origin, true) {
+                    if let Err(e) = self.record(run, index, Ok(doc), origin, JobSource::Store) {
                         self.fail(run.submission, &e);
                     }
                 }
@@ -615,8 +644,14 @@ impl ServerState {
             };
         }
         self.touch_worker(owner, 1);
-        self.record(run, index, outcome, Some(owner.to_string()), false)
-            .map_err(|e| format!("artifact write failed: {e}"))?;
+        self.record(
+            run,
+            index,
+            outcome,
+            Some(owner.to_string()),
+            JobSource::Simulated,
+        )
+        .map_err(|e| format!("artifact write failed: {e}"))?;
         let remaining = run.items.iter().filter(|i| i.is_none()).count();
         Ok(Json::object(vec![
             ("ok", Json::from(true)),
@@ -635,7 +670,7 @@ impl ServerState {
         index: usize,
         outcome: Result<Json, String>,
         owner: Option<String>,
-        via_store: bool,
+        source: JobSource,
     ) -> io::Result<()> {
         let hash = run.sweep.jobs[index].hash_hex();
         let failed = match outcome {
@@ -646,15 +681,15 @@ impl ServerState {
             }
             Err(_) => true,
         };
-        let credit = owner.clone().filter(|_| !via_store);
+        let credit = owner.clone().filter(|_| source == JobSource::Simulated);
         run.items[index] = Some(Resolved {
             owner,
-            via_store,
+            source,
             failed,
         });
         let resolved = || run.items.iter().flatten();
         let done = resolved().count();
-        let store_hits = resolved().filter(|i| i.via_store).count();
+        let store_hits = resolved().filter(|i| i.source == JobSource::Store).count();
         let failed = resolved().filter(|i| i.failed).count();
         let simulated = done - store_hits - failed;
         let progress = SweepProgress {
@@ -715,31 +750,8 @@ impl ServerState {
     /// Writes the manifest (per-shard provenance included), renders the
     /// report, and marks the submission done.
     fn finalize_distributed(&self, run: &DistributedRun) -> io::Result<()> {
-        let statuses: Vec<JobStatus> = run
-            .sweep
-            .jobs
-            .iter()
-            .zip(run.items.iter().flatten())
-            .map(|(job, item)| {
-                let hash = job.hash_hex();
-                let status = if run.results.contains_key(&hash) {
-                    "ok"
-                } else {
-                    "failed"
-                };
-                JobStatus {
-                    hash,
-                    label: job.label(),
-                    status,
-                    source: if item.via_store {
-                        JobSource::Store
-                    } else {
-                        JobSource::Simulated
-                    },
-                    owner: item.owner.clone(),
-                }
-            })
-            .collect();
+        let resolved = || run.items.iter().flatten();
+        let provenance = resolved().map(|item| (item.source, item.owner.clone()));
         run.dir.write_manifest(
             &ManifestInfo {
                 sweep_name: run.sweep.name,
@@ -747,11 +759,12 @@ impl ServerState {
                 bench_iterations: run.iterations,
                 bench_warmup: run.warmup,
             },
-            &statuses,
+            &JobStatus::rows(&run.sweep.jobs, &run.results, provenance),
         )?;
-        let resolved = || run.items.iter().flatten();
-        let hits = resolved().filter(|i| i.via_store).count() as u64;
-        let simulated = resolved().filter(|i| !i.via_store && !i.failed).count() as u64;
+        let hits = resolved().filter(|i| i.source == JobSource::Store).count() as u64;
+        let simulated = resolved()
+            .filter(|i| i.source == JobSource::Simulated && !i.failed)
+            .count() as u64;
         self.store_hits_total.fetch_add(hits, Ordering::Relaxed);
         self.store_inserts_total
             .fetch_add(simulated, Ordering::Relaxed);

@@ -1,7 +1,7 @@
 //! End-to-end daemon tests over real sockets: submit a scaled sweep
 //! twice, watch the second submission come entirely from the persistent
 //! store, stream progress, fetch reports and traces, drain distributed
-//! submissions with pull workers beside a store-root pool, and shut
+//! submissions with pull workers, store-root shards or both, and shut
 //! down cleanly.
 
 use condspec_serve::{ServeConfig, Server};
@@ -194,8 +194,8 @@ fn store_root_pools_and_pull_workers_share_one_lease_protocol() {
         .and_then(Json::as_u64)
         .expect("id");
 
-    // A pool on the same store root — as `condspec worker --store-root`
-    // would — leases one job through its own store handle.
+    // A pool on the same store root — as a `condspec sweep --owner`
+    // shard would — leases one job through its own store handle.
     let sweep = condspec_engine::Sweep::by_name("icache")
         .expect("icache")
         .scaled(Some(2), Some(1));
@@ -301,6 +301,100 @@ fn store_root_pools_and_pull_workers_share_one_lease_protocol() {
 
     std::fs::remove_dir_all(&runs_root).ok();
     std::fs::remove_dir_all(&store_root).ok();
+}
+
+#[test]
+fn store_root_shards_alone_finish_a_distributed_submission() {
+    let runs_root = scratch("shards-runs");
+    let store_root = scratch("shards-store");
+    let shard_root = scratch("shards-shard-runs");
+    let server = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        runs_root: runs_root.clone(),
+        store_root: Some(store_root.clone()),
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let daemon = std::thread::spawn(move || server.run().expect("serve"));
+
+    let (status, body) = post(
+        addr,
+        "/api/sweeps",
+        "{\"sweep\":\"icache\",\"iters\":2,\"warmup\":1,\"distributed\":true}",
+    );
+    assert_eq!(status, 202, "{body}");
+    let receipt = Json::parse(&body).expect("receipt");
+    let id = receipt
+        .get("submission")
+        .and_then(Json::as_u64)
+        .expect("id");
+    let sweep_id = receipt
+        .get("sweep_id")
+        .and_then(Json::as_str)
+        .expect("sweep id")
+        .to_string();
+
+    // One claim-mode sweep on the daemon's store root, as `condspec
+    // sweep --owner pool` runs it, drains the submission; no pull
+    // worker ever claims from the daemon.
+    let sweep = condspec_engine::Sweep::by_name("icache").expect("icache");
+    let shard = condspec_engine::run_sweep(
+        &sweep,
+        &condspec_engine::SweepOptions {
+            workers: 2,
+            root: shard_root.clone(),
+            store: Some(store_root.clone()),
+            bench_iterations: Some(2),
+            bench_warmup: Some(1),
+            quiet: true,
+            claim: Some(condspec_engine::ClaimOptions::new("pool")),
+            ..condspec_engine::SweepOptions::default()
+        },
+    )
+    .expect("shard run");
+    let total = sweep.jobs.len() as u64;
+    assert_eq!(shard.executed as u64, total);
+
+    // Reading the status picks the shard's results up from the store.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let done = loop {
+        let (status, body) = get(addr, &format!("/api/sweeps/{id}"));
+        assert_eq!(status, 200, "{body}");
+        let doc = Json::parse(&body).expect("submission JSON");
+        if doc.get("status").and_then(Json::as_str) == Some("done") {
+            break doc;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the submission never finished: {body}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    let count = |field: &str| done.get(field).and_then(Json::as_u64).expect(field);
+    assert_eq!(count("done"), total);
+    assert_eq!(count("store_hits"), total, "every job is a store hit");
+    assert_eq!(count("simulated") + count("failed"), 0);
+    let manifest =
+        std::fs::read_to_string(runs_root.join(&sweep_id).join("manifest.json")).expect("manifest");
+    let manifest = Json::parse(&manifest).expect("manifest JSON");
+    let rows = manifest.get("jobs").and_then(Json::as_array).expect("rows");
+    assert_eq!(rows.len() as u64, total);
+    for row in rows {
+        assert_eq!(row.get("source").and_then(Json::as_str), Some("store"));
+        assert_eq!(
+            row.get("owner").and_then(Json::as_str),
+            Some("pool"),
+            "{row:?}"
+        );
+    }
+
+    let (status, body) = post(addr, "/api/shutdown", "");
+    assert_eq!(status, 200, "{body}");
+    daemon.join().expect("daemon thread exits cleanly");
+    for dir in [&runs_root, &store_root, &shard_root] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }
 
 #[test]
